@@ -18,19 +18,18 @@ from .counting import (AdaptiveCount, cap_schedule, count_adaptive,
 from .cuttings import (StaircaseCutting, build_blue_cutting,
                        build_red_cutting)
 from .instances import InstanceSpec, generate
-from .iomodel import (EmParams, IoTally, POINT_WIDTH, RAM_PARAMS, BlockedSeq,
-                      multiway_distribute, synchronized_scan)
+from .iomodel import EmParams, IoTally, POINT_WIDTH, RAM_PARAMS
 
 __all__ = [
-    "AdaptiveCount", "BlockedSeq", "Cell", "EmParams", "Estimate",
+    "AdaptiveCount", "Cell", "EmParams", "Estimate",
     "InstanceSpec", "IoTally", "PairSampler", "Point", "PointSet",
     "POINT_WIDTH", "RAM_PARAMS", "RedBlueCells", "StaircaseCutting",
     "ValueList", "audit_cells", "brute_force_count", "build_blue_cutting",
     "build_cells", "build_red_cutting", "cap_schedule", "count_adaptive",
     "count_adaptive_ram", "count_capped", "count_capped_ram",
     "count_nonadaptive", "dominates", "estimate_inversions", "generate",
-    "merge_count_dominance", "mergesort_count", "multiway_distribute",
-    "ram_cap_schedule", "reduce_inversions", "synchronized_scan",
+    "merge_count_dominance", "mergesort_count", "ram_cap_schedule",
+    "reduce_inversions",
 ]
 
 __version__ = "0.1.0"

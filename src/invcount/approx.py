@@ -28,7 +28,7 @@ from math import ceil, log2
 import numpy as np
 
 from .cells import RedBlueCells, build_cells
-from .core import Point, PointSet, ValueList, reduce_inversions, ykey_less
+from .core import PointSet, ValueList, reduce_inversions, ykey_less
 from .counting import count_capped_ram
 from .iomodel import IoTally, RAM_PARAMS
 
@@ -88,23 +88,11 @@ class PairSampler:
         r_pos = rng.integers(0, self.r_sizes[cell])
         return self.r_offs[cell] + r_pos, self.b_offs[cell] + b_pos, cell
 
-    def draw(self, rng: np.random.Generator):
-        """Draw one pair: ``(red point, blue point, cell index)``."""
-        ri, bi, cell = self.draw_many(rng, 1)
-        r = Point(int(self.rx[ri[0]]), float(self.ry[ri[0]]), int(self.rt[ri[0]]))
-        b = Point(int(self.bx[bi[0]]), float(self.by[bi[0]]), int(self.bt[bi[0]]))
-        return r, b, int(cell[0])
-
     def count_hits(self, ri: np.ndarray, bi: np.ndarray) -> int:
         """How many of the drawn pairs are domination pairs."""
         dom = (self.bx[bi] > self.rx[ri]) & ykey_less(
             self.by[bi], self.bt[bi], self.ry[ri], self.rt[ri])
         return int(np.count_nonzero(dom))
-
-
-def draw_cell_pair(sampler: PairSampler, rng: np.random.Generator):
-    """One three-stage draw from a cell family's sample space."""
-    return sampler.draw(rng)
 
 
 def draw_uniform_pair(red: PointSet, blue: PointSet, rng: np.random.Generator):
@@ -126,7 +114,7 @@ def middle_regime_cap(n: int) -> int:
 def estimate_inversions(values, seed: int) -> Estimate:
     """Estimate the inversion count of a list in roughly linear time."""
     if not isinstance(values, ValueList):
-        values = ValueList(np.asarray(values, dtype=np.float64))
+        values = ValueList(values)
     n = len(values)
     if n < 1:
         raise ValueError("need at least one value")

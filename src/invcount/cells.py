@@ -59,10 +59,6 @@ class RedBlueCells:
     failed: bool = False
     levels: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
     def sample_space(self) -> int:
         return sum(c.weight for c in self.cells)
 

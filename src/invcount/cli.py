@@ -46,6 +46,14 @@ class InputParseError(Exception):
         self.line_no = line_no
 
 
+def _holds_exactly(text: str, v: float) -> bool:
+    """False for an integer literal that float64 ``v`` does not equal."""
+    try:
+        return int(text) == v
+    except ValueError:
+        return True
+
+
 def read_values(stream) -> np.ndarray:
     """One decimal value per line; blank lines ignored."""
     values = []
@@ -57,7 +65,7 @@ def read_values(stream) -> np.ndarray:
             v = float(text)
         except ValueError:
             raise InputParseError(line_no, text) from None
-        if not np.isfinite(v):
+        if not np.isfinite(v) or not _holds_exactly(text, v):
             raise InputParseError(line_no, text)
         values.append(v)
     return np.array(values, dtype=np.float64)

@@ -22,7 +22,7 @@ tested against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,23 +56,31 @@ def ykey_less(y1, t1, y2, t2):
 
 @dataclass(frozen=True)
 class ValueList:
-    """An input list of finite 64-bit floats."""
+    """An input list of finite 64-bit floats.
+
+    Integer input must convert to float64 exactly; a value that would be
+    rounded (possible only from ``2**53`` on) is rejected rather
+    than silently changing the count.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        raw = np.asarray(self.values)
+        vals = np.asarray(raw, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("value list must be one-dimensional")
         if len(vals) > MAX_LENGTH:
             raise ValueError(f"value list longer than {MAX_LENGTH}")
         if len(vals) and not np.all(np.isfinite(vals)):
             raise ValueError("value list must contain only finite numbers")
+        if raw.dtype.kind in "iuO":
+            # Integers of smaller magnitude are exact in a float64.
+            big = np.abs(vals) >= 2.0**53
+            for v, f in zip(raw[big].tolist(), vals[big].tolist()):
+                if isinstance(v, (int, np.integer)) and int(v) != f:
+                    raise ValueError(f"integer {v} has no exact float64 value")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[float]) -> "ValueList":
-        return cls(np.asarray(list(values), dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -115,14 +123,6 @@ class PointSet:
         idx = np.asarray(idx, dtype=np.intp)
         return PointSet(self.x[idx], self.y[idx], self.tiebreak[idx], self.color)
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point], color: str = "red") -> "PointSet":
-        pts = sorted(points, key=lambda p: p.x)
-        x = np.array([p.x for p in pts], dtype=np.int64)
-        y = np.array([p.y for p in pts], dtype=np.float64)
-        t = np.array([p.tiebreak for p in pts], dtype=np.int64)
-        return cls(x, y, t, color)
-
 
 def reduce_inversions(values) -> tuple[PointSet, PointSet]:
     """Map a value list to the red and blue point sets of the reduction.
@@ -131,7 +131,7 @@ def reduce_inversions(values) -> tuple[PointSet, PointSet]:
     domination pairs between them are exactly the inversions of the list.
     """
     if not isinstance(values, ValueList):
-        values = ValueList(np.asarray(values, dtype=np.float64))
+        values = ValueList(values)
     n = len(values)
     idx = np.arange(n, dtype=np.int64)
     red = PointSet(idx, values.values, idx, "red")
@@ -181,9 +181,9 @@ def mergesort_count(values) -> int:
     """
     from .counting import count_position_inversions
 
-    if isinstance(values, ValueList):
-        values = values.values
-    values = np.asarray(values, dtype=np.float64)
+    if not isinstance(values, ValueList):
+        values = ValueList(values)
+    values = values.values
     every = np.ones(len(values), dtype=bool)
     return count_position_inversions(
         np.argsort(values, kind="stable"), every, every)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -109,7 +109,10 @@ def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
 
 def _fanout(params: EmParams) -> int:
     f = max(2, isqrt(params.memory_words // params.block_words))
-    # One input stream plus f output/chunk streams must fit in memory.
+    # A distribution pass keeps one input stream plus f bucket streams
+    # open.  The counting scan keeps more: f chunk streams, the opposite
+    # input and f bucket streams, 2f + 1 in all, which exceeds the budget
+    # for M // B in 6-13, 16 and 17.
     return min(f, params.max_streams - 1)
 
 
@@ -150,19 +153,13 @@ def _nonadaptive_rec(red: PointSet, blue: PointSet,
         boundaries, np.minimum(other_rank, ns - 1), side="right") - 1
 
     # Distribution pass over the side, then a synchronized counting scan
-    # that also routes the opposite points into their buckets.
-    tally.charge_read(ns)
+    # of the chunks that also distributes the opposite points into buckets.
     chunk_idx = [np.nonzero(side_bucket == j)[0] for j in range(f)]
-    for idx in chunk_idx:
-        tally.charge_write(len(idx))
-    tally.charge_write_blocks(f)
+    bucket_idx = [np.nonzero(other_bucket == j)[0] for j in range(f)]
+    tally.charge_distribute(ns, [len(idx) for idx in chunk_idx])
     for idx in chunk_idx:
         tally.charge_read(len(idx))
-    tally.charge_read(no)
-    bucket_idx = [np.nonzero(other_bucket == j)[0] for j in range(f)]
-    for idx in bucket_idx:
-        tally.charge_write(len(idx))
-    tally.charge_write_blocks(f)
+    tally.charge_distribute(no, [len(idx) for idx in bucket_idx])
 
     # Cross-chunk pairs, resolved with in-memory chunk counters.
     total = 0
@@ -200,23 +197,27 @@ def count_nonadaptive(red: PointSet, blue: PointSet,
     return _nonadaptive_rec(red, blue, params, tally, f)
 
 
-def count_capped(red: PointSet, blue: PointSet, cap: int,
-                 params: EmParams, tally: IoTally) -> Optional[int]:
-    """Exact count, or ``None`` (failure) only when the true count > cap.
+def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
+            leaf: Callable[[PointSet, PointSet], int]) -> Optional[int]:
+    """One guessing round: count with ``leaf`` inside the cells for ``cap``.
 
     A cap that cannot be exceeded skips the cell construction entirely.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     if cap >= len(red) * len(blue):
-        return count_nonadaptive(red, blue, params, tally)
+        return leaf(red, blue)
     built = build_cells(red, blue, cap, tally)
     if built.failed:
         return None
-    total = 0
-    for cell in built.cells:
-        total += count_nonadaptive(cell.red, cell.blue, params, tally)
-    return total
+    return sum(leaf(cell.red, cell.blue) for cell in built.cells)
+
+
+def count_capped(red: PointSet, blue: PointSet, cap: int,
+                 params: EmParams, tally: IoTally) -> Optional[int]:
+    """Exact count, or ``None`` (failure) only when the true count > cap."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    return _capped(red, blue, cap, tally,
+                   lambda r, b: count_nonadaptive(r, b, params, tally))
 
 
 def cap_schedule(n: int, params: EmParams) -> Iterator[int]:
@@ -262,19 +263,26 @@ class AdaptiveCount:
     caps: list[int] = field(default_factory=list)
 
 
+def _rounds(n: int, schedule: Iterator[int],
+            capped: Callable[[int], Optional[int]]) -> AdaptiveCount:
+    """Run ``capped`` on each cap of ``schedule`` until a round succeeds."""
+    if n == 0:
+        return AdaptiveCount(0, 0)
+    caps: list[int] = []
+    for cap in schedule:
+        caps.append(cap)
+        res = capped(cap)
+        if res is not None:
+            return AdaptiveCount(res, len(caps), caps)
+    raise AssertionError("saturated cap cannot fail")
+
+
 def count_adaptive(red: PointSet, blue: PointSet,
                    params: EmParams, tally: IoTally) -> AdaptiveCount:
     """Exact count via capped rounds with doubly-exponential caps."""
     n = max(len(red), len(blue))
-    if n == 0:
-        return AdaptiveCount(0, 0)
-    caps: list[int] = []
-    for cap in cap_schedule(n, params):
-        caps.append(cap)
-        res = count_capped(red, blue, cap, params, tally)
-        if res is not None:
-            return AdaptiveCount(res, len(caps), caps)
-    raise AssertionError("saturated cap cannot fail")
+    return _rounds(n, cap_schedule(n, params),
+                   lambda cap: count_capped(red, blue, cap, params, tally))
 
 
 def count_capped_ram(red: PointSet, blue: PointSet, cap: int) -> Optional[int]:
@@ -283,26 +291,9 @@ def count_capped_ram(red: PointSet, blue: PointSet, cap: int) -> Optional[int]:
     return count_capped(red, blue, cap, RAM_PARAMS, tally)
 
 
-def _capped_comparison(red: PointSet, blue: PointSet, cap: int,
-                       tally: IoTally) -> Optional[int]:
-    if cap >= len(red) * len(blue):
-        return merge_count_dominance(red, blue)
-    built = build_cells(red, blue, cap, tally)
-    if built.failed:
-        return None
-    return sum(merge_count_dominance(c.red, c.blue) for c in built.cells)
-
-
 def count_adaptive_ram(red: PointSet, blue: PointSet) -> AdaptiveCount:
     """Comparison-model adaptive counter with the level-by-level leaf solver."""
     n = max(len(red), len(blue))
-    if n == 0:
-        return AdaptiveCount(0, 0)
     tally = IoTally(RAM_PARAMS)
-    caps: list[int] = []
-    for cap in ram_cap_schedule(n):
-        caps.append(cap)
-        res = _capped_comparison(red, blue, cap, tally)
-        if res is not None:
-            return AdaptiveCount(res, len(caps), caps)
-    raise AssertionError("saturated cap cannot fail")
+    return _rounds(n, ram_cap_schedule(n), lambda cap: _capped(
+        red, blue, cap, tally, merge_count_dominance))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Point, PointSet
+from .core import PointSet
 from .iomodel import IoTally
 
 _INF = float("inf")
@@ -135,18 +135,6 @@ class StaircaseCutting:
         m = np.searchsorted(self._tx, tx, side="left")
         above = (tyv > self._tyv[m]) | ((tyv == self._tyv[m]) & (tyt > self._tyt[m]))
         return np.where(above, m, -1).astype(np.int64)
-
-    def classify(self, q: Point):
-        """Cell index containing ``q``, or ``None`` when ``q`` is deep.
-
-        Points exactly on the staircase are deep (the on-curve side).
-        """
-        tx, tyv, tyt = self._transform(
-            np.float64(q.x), np.float64(q.y), np.float64(q.tiebreak))
-        m = int(np.searchsorted(self._tx, tx, side="left"))
-        if (tyv, tyt) > (self._tyv[m], self._tyt[m]):
-            return m
-        return None
 
     def charge_corners(self, tally: IoTally) -> None:
         """Charge the writes that materialize the staircase corners."""

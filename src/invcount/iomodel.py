@@ -1,39 +1,31 @@
-"""Simulated external-memory substrate with an analytic I/O tally.
+"""Analytic I/O tally for the external-memory cost model.
 
 The cost model: a machine with ``M`` words of main memory and a disk
 formatted into blocks of ``B`` words (``M >= 2B``).  One I/O transfers one
-block.  Rather than emulating a buffer cache, every primitive charges its
-block transfers analytically, which makes tallies exact, fast, and
-reproducible bit-for-bit:
+block.  Rather than emulating a buffer cache, the algorithms charge their
+block transfers to an :class:`IoTally`, which makes tallies exact, fast,
+and reproducible bit-for-bit.  The tally has three charge rules:
 
-* scanning ``n`` records of ``w`` words charges ``ceil(n*w/B)`` reads;
-* materializing them charges ``ceil(n*w/B)`` writes;
-* a multiway distribution pass charges one input scan plus per-bucket
-  write blocks plus one flush block per bucket;
-* any in-memory processing of a working set that fits in ``M`` words is
-  free.
+* ``charge_read``: scanning ``n`` records of ``w`` words charges
+  ``ceil(n*w/B)`` reads;
+* ``charge_write``: materializing them charges ``ceil(n*w/B)`` writes;
+* ``charge_distribute``: a multiway distribution pass charges one input
+  scan plus the write blocks of every bucket plus one flush block per
+  bucket.
 
-Each open stream reserves two blocks (double buffering), so at most
-``M // (2B)`` streams may be open at once; that bound limits distribution
-fanout and synchronized scans.
+Any in-memory processing of a working set that fits in ``M`` words is
+free.  Each open stream reserves two blocks (double buffering), so at
+most ``M // (2B)`` streams fit at once; the distribution counter sizes
+its fanout from that budget.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Sequence
 
 #: Words needed to store one planar point (index, value).
 POINT_WIDTH = 2
-
-
-class FanoutError(ValueError):
-    """Distribution fanout exceeds the M/(2B) stream budget."""
-
-
-class StreamLimitError(ValueError):
-    """Too many sequences open for one synchronized scan."""
 
 
 @dataclass(frozen=True)
@@ -81,105 +73,13 @@ class IoTally:
     def charge_write(self, n_records: int, width: int = POINT_WIDTH) -> None:
         self.writes += self.params.blocks(n_records, width)
 
-    def charge_read_blocks(self, n_blocks: int) -> None:
-        self.reads += n_blocks
+    def charge_distribute(self, n_records: int, bucket_sizes: Sequence[int]) -> None:
+        """Charge one pass that splits ``n_records`` points into buckets.
 
-    def charge_write_blocks(self, n_blocks: int) -> None:
-        self.writes += n_blocks
-
-
-class BlockedSeq:
-    """A sequence of fixed-width records bound to one tally.
-
-    The records themselves live in ordinary memory; the class only
-    accounts for the blocks they would occupy on disk.
-    """
-
-    def __init__(self, tally: IoTally, width: int, records: Sequence):
-        self.tally = tally
-        self.width = width
-        self.records = records
-
-    @classmethod
-    def write(cls, tally: IoTally, width: int, records: Sequence) -> "BlockedSeq":
-        """Materialize records on 'disk', charging the append blocks."""
-        seq = cls(tally, width, records)
-        tally.charge_write(len(records), width)
-        return seq
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.tally.params.blocks(len(self.records), self.width)
-
-    def scan(self) -> Iterator:
-        """Iterate the records in order, charging one sequential scan."""
-        self.tally.charge_read(len(self.records), self.width)
-        return iter(self.records)
-
-    def read_all(self) -> Sequence:
-        """Charge one sequential scan and return the backing records."""
-        self.tally.charge_read(len(self.records), self.width)
-        return self.records
-
-
-def multiway_distribute(
-    seq: BlockedSeq,
-    fanout: int,
-    router: Optional[Callable] = None,
-    bucket_ids: Optional[Sequence[int]] = None,
-) -> list[BlockedSeq]:
-    """Split ``seq`` into ``fanout`` buckets, preserving order within each.
-
-    ``router`` maps a record to its bucket index; alternatively a
-    precomputed ``bucket_ids`` sequence may be supplied.  Charges one scan
-    of the input plus ``ceil(n_i*w/B)`` writes per bucket plus one flush
-    block per bucket.
-    """
-    if fanout < 1:
-        raise ValueError("fanout must be positive")
-    if fanout > seq.tally.params.max_streams:
-        raise FanoutError(
-            f"fanout {fanout} exceeds stream budget {seq.tally.params.max_streams}"
-        )
-    if bucket_ids is None:
-        if router is None:
-            raise ValueError("either router or bucket_ids is required")
-        bucket_ids = [router(rec) for rec in seq.records]
-    buckets: list[list] = [[] for _ in range(fanout)]
-    for rec, b in zip(seq.records, bucket_ids):
-        buckets[int(b)].append(rec)
-    seq.tally.charge_read(len(seq.records), seq.width)
-    out = []
-    for bucket in buckets:
-        seq.tally.charge_write(len(bucket), seq.width)
-        out.append(BlockedSeq(seq.tally, seq.width, bucket))
-    seq.tally.charge_write_blocks(fanout)  # partial-block flush per bucket
-    return out
-
-
-def synchronized_scan(
-    seqs: Sequence[BlockedSeq],
-    key: Optional[Callable] = None,
-) -> Iterator[tuple[int, object]]:
-    """Scan several sequences together, yielding ``(stream_index, record)``.
-
-    With a ``key``, records are merged in key order; without one, streams
-    are drained in sequence order.  Read charges equal the sum of the
-    individual scan charges.
-    """
-    if not seqs:
-        return iter(())
-    tally = seqs[0].tally
-    if len(seqs) > tally.params.max_streams:
-        raise StreamLimitError(
-            f"{len(seqs)} streams exceed budget {tally.params.max_streams}"
-        )
-    for seq in seqs:
-        tally.charge_read(len(seq.records), seq.width)
-    if key is None:
-        return ((i, rec) for i, seq in enumerate(seqs) for rec in seq.records)
-    streams = [((key(rec), i, rec) for rec in seq.records) for i, seq in enumerate(seqs)]
-    return ((i, rec) for _, i, rec in heapq.merge(*streams))
+        One scan of the input, the blocks of every bucket, and one
+        partial-block flush per bucket.
+        """
+        self.charge_read(n_records)
+        for size in bucket_sizes:
+            self.charge_write(size)
+        self.writes += len(bucket_sizes)

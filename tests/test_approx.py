@@ -96,8 +96,8 @@ class TestPairSampler:
     def test_single_pair_is_certain(self):
         sampler = PairSampler(self._family([1]))
         rng = np.random.default_rng(0)
-        r, b, ci = sampler.draw(rng)
-        assert ci == 0 and r.x == 0 and b.x == 1
+        ri, bi, ci = sampler.draw_many(rng, 1)
+        assert ci[0] == 0 and sampler.rx[ri[0]] == 0 and sampler.bx[bi[0]] == 1
 
     def test_cell_weights_respected(self):
         sampler = PairSampler(self._family([1, 3]))

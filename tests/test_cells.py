@@ -20,13 +20,13 @@ class TestContract:
     def test_sorted_list_any_cap(self):
         for cap in (1, 7, 100):
             red, blue, built = build(generate(InstanceSpec(80, "sorted")), cap)
-            assert built.ok
+            assert not built.failed
             assert audit_cells(built, red, blue).total_pairs == 0
 
     def test_300_permutation_saturated_cap(self):
         values = generate(InstanceSpec(300, "random_permutation", seed=9))
         red, blue, built = build(values, 300 * 300)
-        assert built.ok
+        assert not built.failed
         audit = audit_cells(built, red, blue)
         assert audit.ok
         assert audit.total_pairs == mergesort_count(values)
@@ -34,7 +34,7 @@ class TestContract:
     def test_reverse_256_fails_at_cap_n(self):
         _, _, built = build(generate(InstanceSpec(256, "reverse")), 256)
         assert built.failed
-        assert not built.ok
+        assert built.failed
 
     def test_cap_must_be_positive(self):
         red, blue = reduce_inversions([2.0, 1.0])
@@ -43,7 +43,7 @@ class TestContract:
 
     def test_empty_input(self):
         _, _, built = build([], 5)
-        assert built.ok and built.cells == []
+        assert not built.failed and built.cells == []
 
     def test_failed_rounds_charge_only_scans(self):
         """A failed build's tally must not depend on corner or cell counts."""
@@ -63,7 +63,7 @@ class TestAudit:
         values = generate(InstanceSpec(n, "target_inversions", seed=5,
                                        target=cap // 2))
         red, blue, built = build(values, cap)
-        assert built.ok
+        assert not built.failed
         audit = audit_cells(built, red, blue)
         assert audit.ok
         assert audit.total_pairs == brute_force_count(red, blue)
@@ -72,7 +72,7 @@ class TestAudit:
         values = generate(InstanceSpec(100, "target_inversions", seed=5,
                                        target=300))
         red, blue, built = build(values, 1600)
-        assert built.ok and len(built.cells) >= 1
+        assert not built.failed and len(built.cells) >= 1
         built.cells.append(built.cells[0])
         audit = audit_cells(built, red, blue)
         assert not audit.ok
@@ -81,7 +81,7 @@ class TestAudit:
     def test_missing_cell_reported(self):
         values = generate(InstanceSpec(100, "random_permutation", seed=1))
         red, blue, built = build(values, 100 * 100)
-        assert built.ok
+        assert not built.failed
         dropped = [c for c in built.cells if c.weight > 0]
         assert dropped
         built.cells.remove(dropped[0])
@@ -105,7 +105,7 @@ class TestProperties:
         kstar = brute_force_count(red, blue)
         cap = max(1, kstar * (1 + capmul))
         built = build_cells(red, blue, cap, IoTally(RAM_PARAMS))
-        assert built.ok, "failure with cap >= true count is a contract breach"
+        assert not built.failed, "failure with cap >= true count is a contract breach"
         audit = audit_cells(built, red, blue)
         assert audit.ok
         assert audit.total_pairs == kstar
@@ -124,7 +124,7 @@ class TestProperties:
         red, blue = reduce_inversions(values)
         kstar = brute_force_count(red, blue)
         built = build_cells(red, blue, 2 * kstar, IoTally(RAM_PARAMS))
-        assert built.ok
+        assert not built.failed
         by_level = {}
         for c in built.cells:
             by_level.setdefault(c.level, [0, 0])

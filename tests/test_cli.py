@@ -132,6 +132,21 @@ class TestInputs:
     def test_read_values_helper(self):
         assert list(read_values(io.StringIO(" 1.5 \n\n-2\n"))) == [1.5, -2.0]
 
+    def test_inexact_integer_rejected(self, capsys, monkeypatch):
+        # 2**53 + 1 would round to 2**53 and hide the one inversion.
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("9007199254740993\n9007199254740992\n"))
+        code, out, err = run(capsys, [
+            "count", "--alg", "mergesort", "--input", "-"])
+        assert code == 3 and out == "" and "line 1" in err
+
+    def test_exact_large_integer_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("9007199254740994\n9007199254740992\n"))
+        report = run_json(capsys, [
+            "count", "--alg", "mergesort", "--input", "-"])
+        assert report["count"] == 1
+
 
 class TestUsageErrors:
     def test_capped_requires_cap(self, capsys):

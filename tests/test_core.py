@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invcount import (Point, PointSet, ValueList, brute_force_count, core,
-                      dominates, mergesort_count, reduce_inversions)
+                      dominates, estimate_inversions, mergesort_count,
+                      reduce_inversions)
 
 
 def oracle(values) -> int:
@@ -116,6 +117,29 @@ class TestValidation:
     def test_value_list_rejects_infinity(self):
         with pytest.raises(ValueError):
             ValueList(np.array([np.inf]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mergesort_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            mergesort_count([bad, 1.0, 0.0])
+
+    @pytest.mark.parametrize("values", [
+        [2**53 + 1, 2**53],
+        np.array([2**53 + 1, 2**53], dtype=np.int64),
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+        [-(2**60) - 1, 0],
+    ])
+    @pytest.mark.parametrize("counter", [
+        mergesort_count, reduce_inversions,
+        lambda v: estimate_inversions(v, seed=0)])
+    def test_inexact_integers_rejected(self, values, counter):
+        with pytest.raises(ValueError, match="exact"):
+            counter(values)
+
+    def test_exact_integers_accepted(self):
+        values = np.array([2**53 + 2, 2**53, -(2**62), 2**62], dtype=np.int64)
+        assert mergesort_count(values) == oracle(values) == 3
+        assert ValueList([2**53, 5]).values.tolist() == [2.0**53, 5.0]
 
     def test_value_list_rejects_2d(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,12 @@ class TestCoverageBounds:
             assert len(cut.outward) * k <= 2 * n
 
 
+def classify_one(cut, q: Point) -> int:
+    """``classify_many`` on the single query point ``q``."""
+    one = PointSet(np.array([q.x]), np.array([q.y]), np.array([q.tiebreak]))
+    return int(cut.classify_many(one)[0])
+
+
 class TestClassify:
     def _cutting(self, n=120, k=8, seed=3):
         red, blue = reduce_inversions(generate(
@@ -98,47 +104,50 @@ class TestClassify:
     def test_high_left_query_lands_in_first_cell(self):
         red, _, cut = self._cutting()
         q = Point(int(red.x[0]) - 1, float(red.y.max()) + 1.0, -1)
-        assert cut.classify(q) == 0
+        assert classify_one(cut, q) == 0
 
     def test_heavy_query_is_deep(self):
         red, _, cut = self._cutting()
         # Dominates every base point: right of and below all of them.
         q = Point(int(red.x[-1]) + 1, float(red.y.min()) - 1.0, -1)
         assert query_coverage(cut, red, q) == len(red) >= 2 * cut.k + 1
-        assert cut.classify(q) is None
+        assert classify_one(cut, q) == -1
 
     def test_shallow_queries_always_assigned(self):
         red, blue, cut = self._cutting()
+        assign = cut.classify_many(blue)
         for i in range(len(blue)):
-            q = blue.point(i)
-            if query_coverage(cut, red, q) < cut.k:
-                assert cut.classify(q) is not None
+            if query_coverage(cut, red, blue.point(i)) < cut.k:
+                assert assign[i] >= 0
 
     def test_assigned_queries_are_not_too_deep(self):
         red, blue, cut = self._cutting()
-        for i in range(len(blue)):
-            q = blue.point(i)
-            if cut.classify(q) is not None:
-                assert query_coverage(cut, red, q) < 2 * cut.k
-
-    def test_vectorized_matches_scalar(self):
-        _, blue, cut = self._cutting()
         assign = cut.classify_many(blue)
         for i in range(len(blue)):
-            scalar = cut.classify(blue.point(i))
-            assert assign[i] == (-1 if scalar is None else scalar)
+            if assign[i] >= 0:
+                assert query_coverage(cut, red, blue.point(i)) < 2 * cut.k
+
+    def test_vectorized_matches_scalar(self):
+        # One batch over every query agrees with one call per query point.
+        _, blue, cut = self._cutting()
+        assign = cut.classify_many(blue)
+        assert (assign < 0).any() and (assign >= 0).any()
+        for i in range(len(blue)):
+            assert assign[i] == classify_one(cut, blue.point(i))
 
     def test_assignment_is_leftmost_containing_cell(self):
         red, blue, cut = self._cutting()
         assign = cut.classify_many(blue)
+        assert (assign < 0).any() and (assign >= 0).any()
         for i in range(len(blue)):
             ci = int(assign[i])
-            if ci < 0:
-                continue
             q = blue.point(i)
             containing = [m for m in range(len(cut.outward))
                           if cut.covers(m, q.x, q.y, q.tiebreak)]
-            assert containing and ci == containing[0]
+            if ci < 0:
+                assert containing == []
+            else:
+                assert containing and ci == containing[0]
 
 
 class TestCharges:

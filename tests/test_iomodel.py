@@ -1,14 +1,8 @@
-"""Analytic I/O accounting: blocked sequences, distribution, merged scans."""
+"""Analytic I/O accounting: the scan, write and distribution charge rules."""
 
 import pytest
 
-from invcount.iomodel import (BlockedSeq, EmParams, FanoutError, IoTally,
-                              StreamLimitError, multiway_distribute,
-                              synchronized_scan)
-
-
-def make(tally, width, n):
-    return BlockedSeq(tally, width, list(range(n)))
+from invcount.iomodel import EmParams, IoTally
 
 
 class TestParams:
@@ -34,97 +28,73 @@ class TestParams:
 class TestScanCharges:
     def test_empty_scan_is_free(self):
         t = IoTally(EmParams(2048, 32))
-        list(make(t, 1, 0).scan())
+        t.charge_read(0, 1)
         assert t.reads == 0
 
     def test_single_record(self):
         t = IoTally(EmParams(2048, 32))
-        list(make(t, 1, 1).scan())
+        t.charge_read(1, 1)
         assert t.reads == 1
 
     def test_hundred_wide_records(self):
         t = IoTally(EmParams(2048, 32))
-        list(make(t, 2, 100).scan())
+        t.charge_read(100, 2)
         assert t.reads == 7  # ceil(200/32)
 
     def test_write_charge_mirrors_scan(self):
         t = IoTally(EmParams(2048, 32))
-        BlockedSeq.write(t, 2, list(range(100)))
+        t.charge_write(100, 2)
         assert t.writes == 7 and t.reads == 0
 
 
 class TestDistribute:
     def test_single_bucket_is_a_charged_copy(self):
         t = IoTally(EmParams(2048, 32))
-        seq = make(t, 1, 100)
-        out = multiway_distribute(seq, 1, router=lambda r: 0)
-        assert [s.records for s in out] == [list(range(100))]
+        t.charge_distribute(50, [50])  # 50 points of two words
         assert t.reads == 4           # ceil(100/32)
         assert t.writes == 4 + 1      # bucket blocks + one flush block
 
     def test_four_even_buckets(self):
         t = IoTally(EmParams(64, 8))
-        seq = make(t, 1, 64)
-        out = multiway_distribute(seq, 4, router=lambda r: r % 4)
-        assert all(len(s) == 16 for s in out)
+        t.charge_distribute(32, [8, 8, 8, 8])
         assert t.reads == 8             # ceil(64/8)
         assert t.writes == 4 * 2 + 4    # 2 blocks per bucket + 4 flushes
 
-    def test_order_preserved_within_buckets(self):
+    def test_empty_buckets_still_flush(self):
         t = IoTally(EmParams(64, 8))
-        out = multiway_distribute(make(t, 1, 20), 2, router=lambda r: r % 2)
-        assert out[0].records == sorted(out[0].records)
-        assert out[1].records == sorted(out[1].records)
-
-    def test_fanout_over_stream_budget_raises(self):
-        t = IoTally(EmParams(64, 8))   # max_streams = 4
-        with pytest.raises(FanoutError):
-            multiway_distribute(make(t, 1, 8), 5, router=lambda r: 0)
-
-    def test_precomputed_bucket_ids(self):
-        t = IoTally(EmParams(64, 8))
-        out = multiway_distribute(make(t, 1, 4), 2, bucket_ids=[1, 0, 1, 0])
-        assert out[0].records == [1, 3] and out[1].records == [0, 2]
+        t.charge_distribute(0, [0, 0, 0])
+        assert (t.reads, t.writes) == (0, 3)
 
 
 class TestSynchronizedScan:
+    """A synchronized scan charges each of its streams as one scan."""
+
     def test_empty_plus_one_block(self):
         t = IoTally(EmParams(2048, 32))
-        seqs = [make(t, 1, 0), make(t, 1, 32)]
-        list(synchronized_scan(seqs))
+        for n in (0, 32):
+            t.charge_read(n, 1)
         assert t.reads == 1
 
     def test_two_sequences_of_hundred(self):
         t = IoTally(EmParams(2048, 32))
-        seqs = [make(t, 1, 100), make(t, 1, 100)]
-        list(synchronized_scan(seqs))
+        for n in (100, 100):
+            t.charge_read(n, 1)
         assert t.reads == 8  # ceil(100/32) * 2
 
     def test_three_streams_within_budget(self):
         t = IoTally(EmParams(2048, 32))
-        seqs = [make(t, 1, 10) for _ in range(3)]
-        assert len(list(synchronized_scan(seqs))) == 30
-
-    def test_stream_budget_enforced(self):
-        t = IoTally(EmParams(64, 8))   # max_streams = 4
-        seqs = [make(t, 1, 1) for _ in range(5)]
-        with pytest.raises(StreamLimitError):
-            synchronized_scan(seqs)
-
-    def test_keyed_merge_order(self):
-        t = IoTally(EmParams(2048, 32))
-        a = BlockedSeq(t, 1, [1, 4, 9])
-        b = BlockedSeq(t, 1, [2, 3, 10])
-        merged = [rec for _, rec in synchronized_scan([a, b], key=lambda r: r)]
-        assert merged == [1, 2, 3, 4, 9, 10]
+        for n in (10, 10, 10):
+            t.charge_read(n, 1)
+        assert t.reads == 3
 
 
 def test_tally_is_deterministic():
     def run():
         t = IoTally(EmParams(64, 8))
-        seq = make(t, 1, 50)
-        buckets = multiway_distribute(seq, 3, router=lambda r: r % 3)
-        list(synchronized_scan(buckets, key=lambda r: r))
+        sizes = [17, 17, 16]
+        t.charge_distribute(50, sizes)
+        for n in sizes:
+            t.charge_read(n)
         return (t.reads, t.writes)
 
-    assert run() == run()
+    assert run() == run() == (13 + 14, 14 + 3)
