@@ -59,9 +59,6 @@ class RedBlueCells:
     failed: bool = False
     levels: int = 0
 
-    def sample_space(self) -> int:
-        return sum(c.weight for c in self.cells)
-
     def debug_dict(self) -> dict:
         return {
             "cap": self.cap,
@@ -72,26 +69,34 @@ class RedBlueCells:
         }
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _half_level(build, base: PointSet, others: PointSet, depth: int, n0: int,
+                level: int, out: list[Cell], tally: IoTally) -> PointSet | None:
+    """Cut ``base`` and put each point of ``others`` into a cell of the cutting.
 
-
-def _group_by_cell(assign: np.ndarray, pts: PointSet, base_cut, out: list[Cell],
-                   tally: IoTally, level: int) -> None:
-    """Append one cell per cutting cell that received at least one point.
-
+    Appends one cell per cutting cell that received a point and returns the
+    deep points of ``others`` (those in no cell), or ``None`` for failure:
+    more deep points than half this level's budget ``n0 / 2**level``.
     Materializing a cell writes its conflict list (the host side); the
-    member side is charged by the caller in one batch.
+    members are charged in one batch.
     """
-    shallow = assign >= 0
-    for ci in np.unique(assign[shallow]):
-        members = pts.take(np.nonzero(assign == ci)[0])
-        host = base_cut.cell_points(int(ci))
+    cut = build(base, depth, tally)
+    assign = cut.classify_many(others)
+    tally.charge_read(len(others))  # classification scan
+    deep = assign < 0
+    n_deep = int(np.count_nonzero(deep))
+    if n_deep * (1 << (level + 1)) > n0:
+        return None
+    cut.charge_corners(tally)
+    tally.charge_write(len(others) - n_deep)
+    for ci in np.unique(assign[~deep]):
+        members = others.take(np.nonzero(assign == ci)[0])
+        host = cut.cell_points(int(ci))
         tally.charge_write(len(host))
-        if base_cut.orientation == "red":
+        if cut.orientation == "red":
             out.append(Cell(red=host, blue=members, level=level))
         else:
             out.append(Cell(red=members, blue=host, level=level))
+    return others.take(np.nonzero(deep)[0])
 
 
 def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedBlueCells:
@@ -113,35 +118,19 @@ def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedB
             result.cells.append(Cell(red=cur_red, blue=cur_blue, level=level))
             break
         result.levels = level + 1
-        depth = _ceil_div(2 * cap * (1 << level), n0)
+        depth = (2 * cap * (1 << level) + n0 - 1) // n0
 
-        red_cut = build_red_cutting(cur_red, depth, tally)
-        assign_b = red_cut.classify_many(cur_blue)
-        tally.charge_read(nb)  # classification scan of the blue points
-        deep_b = int(np.count_nonzero(assign_b < 0))
-        # Failure threshold: deep count > N/2 at this level's budget N0/2^level.
-        if deep_b * (1 << (level + 1)) > n0:
-            result.failed = True
-            return result
-        red_cut.charge_corners(tally)
-        tally.charge_write(nb - deep_b)
-        _group_by_cell(assign_b, cur_blue, red_cut, result.cells, tally, level)
-        deep_blue = cur_blue.take(np.nonzero(assign_b < 0)[0])
-        if len(deep_blue) == 0:
+        deep_blue = _half_level(build_red_cutting, cur_red, cur_blue, depth,
+                                n0, level, result.cells, tally)
+        if deep_blue is None or len(deep_blue) == 0:
+            result.failed = deep_blue is None
             break
-
-        blue_cut = build_blue_cutting(deep_blue, depth, tally)
-        assign_r = blue_cut.classify_many(cur_red)
-        tally.charge_read(nr)
-        deep_r = int(np.count_nonzero(assign_r < 0))
-        if deep_r * (1 << (level + 1)) > n0:
+        deep_red = _half_level(build_blue_cutting, deep_blue, cur_red, depth,
+                               n0, level, result.cells, tally)
+        if deep_red is None:
             result.failed = True
-            return result
-        blue_cut.charge_corners(tally)
-        tally.charge_write(nr - deep_r)
-        _group_by_cell(assign_r, cur_red, blue_cut, result.cells, tally, level)
-        deep_red = cur_red.take(np.nonzero(assign_r < 0)[0])
-        tally.charge_write(deep_r + len(deep_blue))
+            break
+        tally.charge_write(len(deep_red) + len(deep_blue))
 
         cur_red, cur_blue = deep_red, deep_blue
         level += 1

@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "count" and args.alg == "capped" and args.cap is None:
+    if getattr(args, "alg", None) == "capped" and args.cap is None:
         parser.error("--alg capped requires --cap")
     if getattr(args, "shape", None) == "target-inversions" and \
             getattr(args, "k", None) is None and not getattr(args, "input", None):

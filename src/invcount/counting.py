@@ -18,12 +18,12 @@ cap schedule ``(N*B) * (M/B)**(2**i)``, saturating at ``N**2``, and stops
 at the first success.  The total cost telescopes to the cost of the last
 round, so the I/O count adapts to the true number of pairs.
 
-RAM-model variants fix (M, B) to small constants; the comparison-model
-adaptive variant swaps the distribution counter for
-``merge_count_dominance``, which runs one level-by-level kernel: an
-O(n log n) sort, then ``ceil(log2 n)`` linear vectorized passes instead of
-a recursion with Theta(n) calls.  ``core.mergesort_count`` runs the same
-kernel.
+The comparison/RAM-model rounds (``count_capped_ram``, and
+``count_adaptive_ram`` over ``ram_cap_schedule``) count each cell with
+``merge_count_dominance`` instead: one O(n log n) sort, then
+``ceil(log2 n)`` linear vectorized passes, the kernel that
+``core.mergesort_count`` runs too.  Only the I/O-model counters reach the
+distribution recursion.
 """
 
 from __future__ import annotations
@@ -203,6 +203,8 @@ def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
 
     A cap that cannot be exceeded skips the cell construction entirely.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if cap >= len(red) * len(blue):
         return leaf(red, blue)
     built = build_cells(red, blue, cap, tally)
@@ -214,8 +216,6 @@ def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
 def count_capped(red: PointSet, blue: PointSet, cap: int,
                  params: EmParams, tally: IoTally) -> Optional[int]:
     """Exact count, or ``None`` (failure) only when the true count > cap."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     return _capped(red, blue, cap, tally,
                    lambda r, b: count_nonadaptive(r, b, params, tally))
 
@@ -286,14 +286,12 @@ def count_adaptive(red: PointSet, blue: PointSet,
 
 
 def count_capped_ram(red: PointSet, blue: PointSet, cap: int) -> Optional[int]:
-    """Capped counter with (M, B) fixed to RAM-model constants."""
-    tally = IoTally(RAM_PARAMS)
-    return count_capped(red, blue, cap, RAM_PARAMS, tally)
+    """Comparison-model capped round: ``merge_count_dominance`` in each cell."""
+    return _capped(red, blue, cap, IoTally(RAM_PARAMS), merge_count_dominance)
 
 
 def count_adaptive_ram(red: PointSet, blue: PointSet) -> AdaptiveCount:
-    """Comparison-model adaptive counter with the level-by-level leaf solver."""
+    """Comparison-model adaptive counter: capped RAM rounds until one succeeds."""
     n = max(len(red), len(blue))
-    tally = IoTally(RAM_PARAMS)
-    return _rounds(n, ram_cap_schedule(n), lambda cap: _capped(
-        red, blue, cap, tally, merge_count_dominance))
+    return _rounds(n, ram_cap_schedule(n),
+                   lambda cap: count_capped_ram(red, blue, cap))

@@ -31,6 +31,18 @@ class TestRegimeDispatch:
         assert est.regime == REGIME_EXACT
         assert est.value == mergesort_count(values) == 9000
 
+    def test_small_count_never_runs_distribution_counter(self, monkeypatch):
+        import invcount.counting as counting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_small ran the distribution counter")
+
+        monkeypatch.setattr(counting, "count_nonadaptive", refuse)
+        values = generate(InstanceSpec(4096, "target_inversions", seed=3,
+                                       target=2048))
+        est = estimate_inversions(values, seed=0)
+        assert est.regime == REGIME_EXACT and est.value == 2048
+
     def test_middle_regime_reports_sampling_provenance(self):
         values = generate(InstanceSpec(1024, "target_inversions", seed=1,
                                        target=40960))
@@ -122,7 +134,7 @@ class TestPairSampler:
         assert not built.failed
         sampler = PairSampler(built)
         space = sampler.total
-        assert space == built.sample_space()
+        assert space == sum(c.weight for c in built.cells)
         m = 40_000
         rng = np.random.default_rng(3)
         ri, bi, _ = sampler.draw_many(rng, m)

@@ -154,6 +154,12 @@ class TestUsageErrors:
             main(["count", "--alg", "capped", "--n", "100"])
         assert exc.value.code == 2
 
+    def test_bench_capped_requires_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--alg", "capped", "--n", "100", "--kstar", "0"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "--cap" in err
+
     def test_target_shape_requires_k(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--shape", "target-inversions", "--n", "100"])

@@ -129,6 +129,8 @@ class TestCapped:
         red, blue = reduction([2.0, 1.0])
         with pytest.raises(ValueError):
             count_capped(red, blue, 0, PARAMS, IoTally(PARAMS))
+        with pytest.raises(ValueError):
+            count_capped_ram(red, blue, 0)
 
     def test_unbeatable_cap_skips_construction(self):
         red, blue = reduction(generate(InstanceSpec(128, "reverse")))
@@ -153,6 +155,20 @@ class TestCapped:
         kstar = brute_force_count(red, blue)
         assert count_capped_ram(red, blue, kstar) == kstar
         assert count_capped_ram(red, blue, max(1, kstar // 8)) in (None, kstar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 9), max_size=200),
+           st.sampled_from([None, -1, 0, 1]))
+    def test_ram_variant_matches_brute(self, ints, offset):
+        # Few distinct values, so long equal runs; caps 1 and k* - 1, k*, k* + 1.
+        red, blue = reduction(np.array(ints, dtype=np.float64))
+        kstar = brute_force_count(red, blue)
+        cap = 1 if offset is None else max(1, kstar + offset)
+        got = count_capped_ram(red, blue, cap)
+        if cap >= kstar:
+            assert got == kstar
+        else:
+            assert got is None or got == kstar
 
 
 class TestSchedules:
