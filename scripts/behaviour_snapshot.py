@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Print a deterministic record of invcount's observable behaviour.
+
+For every ``(N, M, B)`` grid, the record holds the ``invcount bench`` CSV
+(timing off) of all six algorithms, ``capped`` at the fixed cap ``N * B``,
+over five target inversion counts; then one ``count`` report per shape
+and algorithm.  After the grids come the ``estimate`` reports of every
+shape.  Two runs of one version print the same bytes, so two versions can
+be compared with ``cmp``.  ``invcount`` is imported from ``PYTHONPATH``:
+
+    PYTHONPATH=src python3 scripts/behaviour_snapshot.py > after.txt
+    PYTHONPATH=/path/to/other/src python3 scripts/behaviour_snapshot.py > before.txt
+    cmp before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+
+from invcount.cli import ALGORITHMS, main as cli
+
+#: Default grids, ``N:M:B``; one has ``B = 1``.
+GRIDS = "2000:2048:32,1500:256:16,1000:64:1,1200:512:8"
+
+SHAPES = ("sorted", "reverse", "random-permutation", "random-real",
+          "duplicates", "target-inversions")
+
+
+def run(argv: list[str]) -> str:
+    """Output of one CLI call; a non-zero exit is an error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli(argv)
+    if status:
+        raise SystemExit(f"invcount {' '.join(argv)} exited with {status}")
+    return out.getvalue()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--grids", default=GRIDS,
+                    help="comma-separated N:M:B triples")
+    ap.add_argument("--seeds", type=int, default=2)
+    args = ap.parse_args()
+
+    grids = [tuple(map(int, g.split(":"))) for g in args.grids.split(",")]
+    for n, m, b in grids:
+        maxk = n * (n - 1) // 2
+        kstars = ",".join(str(k) for k in (0, n, min(4 * n * m, maxk),
+                                           n * n // 4, n * n // 16))
+        common = ["--n", str(n), "--mem", str(m), "--block", str(b)]
+        for alg in ALGORITHMS:
+            sys.stdout.write(run(["bench", "--alg", alg, *common,
+                                  "--kstar", kstars, "--seeds", str(args.seeds),
+                                  "--cap", str(n * b)]))
+        for shape in SHAPES:
+            for alg in ALGORITHMS:
+                sys.stdout.write(run(["count", "--alg", alg, *common,
+                                      "--shape", shape, "--k", str(n),
+                                      "--cap", str(n * b)]))
+    n = max(g[0] for g in grids)
+    for shape in SHAPES:
+        for seed in range(args.seeds):
+            sys.stdout.write(run(["estimate", "--n", str(n), "--shape", shape,
+                                  "--k", str(n), "--seed", str(seed)]))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

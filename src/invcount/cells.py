@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet, dominance_mask
+from .core import PointSet, brute_force_count, dominance_mask
 from .cuttings import build_blue_cutting, build_red_cutting
 from .iomodel import IoTally
 
@@ -82,21 +82,19 @@ def _half_level(build, base: PointSet, others: PointSet, depth: int, n0: int,
     cut = build(base, depth, tally)
     assign = cut.classify_many(others)
     tally.charge_read(len(others))  # classification scan
-    deep = assign < 0
-    n_deep = int(np.count_nonzero(deep))
+    n_deep = int(np.count_nonzero(assign < 0))
     if n_deep * (1 << (level + 1)) > n0:
         return None
     cut.charge_corners(tally)
     tally.charge_write(len(others) - n_deep)
-    for ci in np.unique(assign[~deep]):
-        members = others.take(np.nonzero(assign == ci)[0])
-        host = cut.cell_points(int(ci))
-        tally.charge_write(len(host))
-        if cut.orientation == "red":
-            out.append(Cell(red=host, blue=members, level=level))
-        else:
-            out.append(Cell(red=members, blue=host, level=level))
-    return others.take(np.nonzero(deep)[0])
+    deep, *groups = others.split(assign + 1, cut.n_cells + 1)
+    for ci, members in enumerate(groups):
+        if len(members):
+            host = cut.cell_points(ci)
+            tally.charge_write(len(host))
+            pair = (host, members) if cut.orientation == "red" else (members, host)
+            out.append(Cell(*pair, level=level))
+    return deep
 
 
 def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedBlueCells:
@@ -172,8 +170,6 @@ def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudi
     Checks that the per-cell domination pairs partition the input's pairs
     exactly and reports the measured size constants.
     """
-    from .core import brute_force_count
-
     if result.failed:
         raise ValueError("cannot audit a failed cell construction")
     n = max(len(red), len(blue), 1)

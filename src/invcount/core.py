@@ -115,13 +115,17 @@ class PointSet:
     def point(self, i: int) -> Point:
         return Point(int(self.x[i]), float(self.y[i]), int(self.tiebreak[i]))
 
-    def points(self) -> list[Point]:
-        return [self.point(i) for i in range(len(self))]
-
     def take(self, idx: np.ndarray) -> "PointSet":
         """Subset by an ascending index array (keeps the x order)."""
         idx = np.asarray(idx, dtype=np.intp)
         return PointSet(self.x[idx], self.y[idx], self.tiebreak[idx], self.color)
+
+    def split(self, labels: np.ndarray, k: int) -> list["PointSet"]:
+        """Subset ``j`` for each label ``j`` in ``range(k)``, in x order
+        (empty where no point has the label)."""
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+        return [self.take(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def reduce_inversions(values) -> tuple[PointSet, PointSet]:

@@ -1,22 +1,28 @@
 """Exact dominance counters: non-adaptive, capped, and adaptive.
 
-The non-adaptive counter is a distribution-sort style recursion: the
-smaller color is split into ``~sqrt(M/B)`` value-contiguous chunks, one
-synchronized scan in x order counts the cross-chunk pairs, and each chunk
-recurses with the opposite-color points that belong to it.  Once the
-smaller side of a subproblem has at most ``B`` points, both sides are
-charged as read and the leaf counts its pairs with the strict dominance
-mask of ``core.brute_force_count``: O(B n) RAM work on data already in
-memory, with no further I/O.
+The non-adaptive counter is a distribution-sort style recursion.  The
+smaller color (red on a tie) is cut by key rank into ``f ~ sqrt(M/B)``
+chunks at ranks ``j * ns // f``, and one sort of both colors by key gives
+every point a chunk label: the chunk of its own rank, or for the other
+color the chunk of the number of split-side keys strictly below its own.
+A blue labelled below a red then has the smaller key and dominates the
+red exactly when it lies to its right; one synchronized scan counts those
+pairs, and each label recurses on its own.  Tie rule: a blue whose key
+equals two or more split-side reds takes the label of the last of them,
+so no red of equal key is labelled above it.  Once the smaller side of a
+subproblem has at most ``B`` points, both sides are charged as read and
+the leaf counts its pairs with the strict dominance mask of
+``core.brute_force_count``: O(B n) RAM work on data already in memory,
+with no further I/O.
 
 The capped counter builds red-blue cells for a cap ``K`` and runs the
 non-adaptive counter inside each cell; it may report failure, which
 certifies the true count exceeds ``K``.
 
 The adaptive counter runs the capped counter over a doubly-exponential
-cap schedule ``(N*B) * (M/B)**(2**i)``, saturating at ``N**2``, and stops
-at the first success.  The total cost telescopes to the cost of the last
-round, so the I/O count adapts to the true number of pairs.
+cap schedule ``(N*B) * (M/B)**(2**i - 2)``, saturating at ``N**2``, and
+stops at the first success.  The total cost telescopes to the cost of the
+last round, so the I/O count adapts to the true number of pairs.
 
 The comparison/RAM-model rounds (``count_capped_ram``, and
 ``count_adaptive_ram`` over ``ram_cap_schedule``) count each cell with
@@ -28,6 +34,7 @@ distribution recursion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Iterator, Optional
@@ -116,6 +123,35 @@ def _fanout(params: EmParams) -> int:
     return min(f, params.max_streams - 1)
 
 
+def _chunk_labels(red: PointSet, blue: PointSet,
+                  f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk label of every red and every blue point; see the module docstring."""
+    nr, nb = len(red), len(blue)
+    side_is_red, ns = nr <= nb, min(nr, nb)
+    # Other-color points sort before split-side points of an equal key, so
+    # a side point's rank is its key position and another point's the
+    # number of side keys strictly below its own.
+    is_side = np.repeat([side_is_red, not side_is_red], [nr, nb])
+    y = np.concatenate([red.y, blue.y])
+    t = np.concatenate([red.tiebreak, blue.tiebreak])
+    order = np.lexsort((is_side, t, y))
+    s = is_side[order]
+    through = np.cumsum(s)
+    rank = through - s
+    if side_is_red:
+        # Tie rule: a blue ranks max(r, le - 1), where ``le`` counts the
+        # side keys at or below its own, through the end of the key's run.
+        y, t = y[order], t[order]
+        tie = (y[1:] == y[:-1]) & (t[1:] == t[:-1])
+        if np.any(tie & s[1:] & s[:-1]):  # side points of one key are adjacent
+            le = np.where(np.append(~tie, True), through, ns)
+            le = np.minimum.accumulate(le[::-1])[::-1]
+            rank = np.where(s, rank, np.maximum(rank, le - 1))
+    labels = np.empty_like(rank)
+    labels[order] = np.searchsorted(np.arange(f) * ns // f, rank, side="right") - 1
+    return labels[:nr], labels[nr:]
+
+
 def _nonadaptive_rec(red: PointSet, blue: PointSet,
                      params: EmParams, tally: IoTally, f: int) -> int:
     nr, nb = len(red), len(blue)
@@ -126,66 +162,24 @@ def _nonadaptive_rec(red: PointSet, blue: PointSet,
         tally.charge_read(nb)
         return brute_force_count(red, blue)
 
-    if nr <= nb:
-        side, other, side_is_red = red, blue, True
-    else:
-        side, other, side_is_red = blue, red, False
-    ns, no = len(side), len(other)
-
-    # Chunk the split side into f value-contiguous pieces of equal size.
-    order = np.lexsort((side.tiebreak, side.y))
-    pos = np.empty(ns, dtype=np.int64)
-    pos[order] = np.arange(ns)
-    boundaries = np.array([j * ns // f for j in range(f)], dtype=np.int64)
-    side_bucket = np.searchsorted(boundaries, pos, side="right") - 1
-
-    # Rank each opposite point against the side's value order: the number
-    # of side keys strictly below it decides which chunk it belongs to.
-    y_all = np.concatenate([side.y, other.y])
-    t_all = np.concatenate([side.tiebreak, other.tiebreak]).astype(np.float64)
-    marker = np.concatenate([np.ones(ns, dtype=np.int8), np.zeros(no, dtype=np.int8)])
-    order2 = np.lexsort((marker, t_all, y_all))
-    is_side = marker[order2] == 1
-    below_sorted = np.cumsum(is_side) - is_side
-    other_rank = np.empty(no, dtype=np.int64)
-    other_rank[order2[~is_side] - ns] = below_sorted[~is_side]
-    other_bucket = np.searchsorted(
-        boundaries, np.minimum(other_rank, ns - 1), side="right") - 1
+    red_labels, blue_labels = _chunk_labels(red, blue, f)
+    reds, blues = red.split(red_labels, f), blue.split(blue_labels, f)
 
     # Distribution pass over the side, then a synchronized counting scan
-    # of the chunks that also distributes the opposite points into buckets.
-    chunk_idx = [np.nonzero(side_bucket == j)[0] for j in range(f)]
-    bucket_idx = [np.nonzero(other_bucket == j)[0] for j in range(f)]
-    tally.charge_distribute(ns, [len(idx) for idx in chunk_idx])
-    for idx in chunk_idx:
-        tally.charge_read(len(idx))
-    tally.charge_distribute(no, [len(idx) for idx in bucket_idx])
+    # of its chunks that also distributes the opposite points into buckets.
+    side, other = (reds, blues) if nr <= nb else (blues, reds)
+    tally.charge_distribute(min(nr, nb), [len(c) for c in side])
+    for chunk in side:
+        tally.charge_read(len(chunk))
+    tally.charge_distribute(max(nr, nb), [len(c) for c in other])
 
-    # Cross-chunk pairs, resolved with in-memory chunk counters.
+    # Cross-chunk pairs: a blue labelled below a red has the smaller key,
+    # so it dominates the red exactly when it lies to the red's right.
     total = 0
-    if side_is_red:
-        # blue p dominates reds with larger value: chunks above its own.
-        for j in range(1, f):
-            cx = side.x[chunk_idx[j]]
-            qx = other.x[other_bucket < j]
-            if len(cx) and len(qx):
-                total += int(np.searchsorted(cx, qx, side="left").sum())
-    else:
-        # red p is dominated by blues with smaller value: chunks below.
-        for j in range(f - 1):
-            cx = side.x[chunk_idx[j]]
-            qx = other.x[other_bucket > j]
-            if len(cx) and len(qx):
-                total += int((len(cx) - np.searchsorted(cx, qx, side="right")).sum())
-
-    for j in range(f):
-        sub_side = side.take(chunk_idx[j])
-        sub_other = other.take(bucket_idx[j])
-        if side_is_red:
-            total += _nonadaptive_rec(sub_side, sub_other, params, tally, f)
-        else:
-            total += _nonadaptive_rec(sub_other, sub_side, params, tally, f)
-    return total
+    for j in range(1, f):
+        total += int(np.searchsorted(reds[j].x, blue.x[blue_labels < j]).sum())
+    return total + sum(_nonadaptive_rec(r, b, params, tally, f)
+                       for r, b in zip(reds, blues))
 
 
 def count_nonadaptive(red: PointSet, blue: PointSet,
@@ -220,6 +214,17 @@ def count_capped(red: PointSet, blue: PointSet, cap: int,
                    lambda r, b: count_nonadaptive(r, b, params, tally))
 
 
+def _saturating(n: int, cap_at: Callable[[int], int]) -> Iterator[int]:
+    """``cap_at(2**i)`` for ``i = 1, 2, ...``, ending with ``n**2``."""
+    sat = n * n
+    for i in itertools.count(1):
+        cap = cap_at(2**i)
+        if cap >= sat:
+            yield sat
+            return
+        yield cap
+
+
 def cap_schedule(n: int, params: EmParams) -> Iterator[int]:
     """Doubly-exponential cap guesses, saturating at ``n**2``.
 
@@ -230,28 +235,12 @@ def cap_schedule(n: int, params: EmParams) -> Iterator[int]:
     telescopes to the cost of the last round.
     """
     m, b = params.memory_words, params.block_words
-    sat = n * n
-    e = 0
-    while True:
-        cap = (n * b * m**e) // (b**e) if e else n * b
-        if cap >= sat:
-            yield sat
-            return
-        yield max(cap, 1)
-        e = 2 * e + 2
+    return _saturating(n, lambda p: n * b * m**(p - 2) // b**(p - 2))
 
 
 def ram_cap_schedule(n: int) -> Iterator[int]:
     """Cap guesses ``n * 2**(2**i)`` for the comparison/RAM variants."""
-    sat = n * n
-    e = 2
-    while True:
-        cap = n * 2**e
-        if cap >= sat:
-            yield sat
-            return
-        yield max(cap, 1)
-        e *= 2
+    return _saturating(n, lambda p: n * 2**p)
 
 
 @dataclass

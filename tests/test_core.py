@@ -28,8 +28,8 @@ class TestReduction:
         red, blue = reduce_inversions([5.0, 1.0, 4.0])
         for s in (red, blue):
             assert len(s) == 3
-            assert s.points() == [Point(0, 5.0, 0), Point(1, 1.0, 1),
-                                  Point(2, 4.0, 2)]
+            assert [s.point(i) for i in range(len(s))] == [
+                Point(0, 5.0, 0), Point(1, 1.0, 1), Point(2, 4.0, 2)]
 
     def test_empty_list(self):
         red, blue = reduce_inversions([])
@@ -153,3 +153,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             PointSet(np.array([1]), np.array([0.0]), np.array([0]),
                      color="green")
+
+
+class TestSplit:
+    def test_groups_by_label_in_x_order(self):
+        pts = PointSet(np.arange(6), np.array([5.0, 1.0, 4.0, 2.0, 3.0, 0.0]),
+                       np.arange(6), "blue")
+        groups = pts.split(np.array([2, 0, 2, 0, 3, 2]), 5)
+        assert [g.x.tolist() for g in groups] == [[1, 3], [], [0, 2, 5], [4], []]
+        assert [g.y.tolist() for g in groups[2:4]] == [[5.0, 4.0, 0.0], [3.0]]
+        assert all(g.color == "blue" for g in groups)
+
+    def test_empty_set(self):
+        groups = PointSet([], [], []).split(np.empty(0, dtype=np.int64), 3)
+        assert [len(g) for g in groups] == [0, 0, 0]

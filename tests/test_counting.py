@@ -171,6 +171,34 @@ class TestCapped:
             assert got is None or got == kstar
 
 
+class TestTiedKeys:
+    """The I/O counters on keys that tie within a color and across colors."""
+
+    def test_equal_keys_straddling_a_chunk_boundary(self):
+        # Two reds of one key fall in different chunks; the blues of that
+        # key dominate neither of them.
+        params = EmParams(8, 1)
+        red = PointSet([0, 1], [1.0, 1.0], [0, 0])
+        blue = PointSet([2, 3], [1.0, 1.0], [0, 0], "blue")
+        assert count_nonadaptive(red, blue, params, IoTally(params)) == 0
+        assert count_capped(red, blue, 4, params, IoTally(params)) == 0
+        assert count_adaptive(red, blue, params, IoTally(params)).count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(colored_points("red"), colored_points("blue"),
+           st.sampled_from([EmParams(8, 1), EmParams(64, 2)]))
+    def test_io_counters_match_brute(self, red, blue, params):
+        kstar = brute_force_count(red, blue)
+        assert count_nonadaptive(red, blue, params, IoTally(params)) == kstar
+        assert count_adaptive(red, blue, params, IoTally(params)).count == kstar
+        for cap in {1, max(1, kstar - 1), max(1, kstar), kstar + 1}:
+            got = count_capped(red, blue, cap, params, IoTally(params))
+            if cap >= kstar:
+                assert got == kstar
+            else:
+                assert got is None or got == kstar
+
+
 class TestSchedules:
     def test_em_schedule_values(self):
         caps = list(cap_schedule(2**17, EmParams(1024, 32)))
