@@ -4,9 +4,12 @@
 For every ``(N, M, B)`` grid, the record holds the ``invcount bench`` CSV
 (timing off) of all six algorithms, ``capped`` at the fixed cap ``N * B``,
 over five target inversion counts; then one ``count`` report per shape
-and algorithm.  After the grids come the ``estimate`` reports of every
-shape.  Two runs of one version print the same bytes, so two versions can
-be compared with ``cmp``.  ``invcount`` is imported from ``PYTHONPATH``:
+and algorithm; then, for both staircase orientations at the depths ``B``
+and ``N // 8``, a digest of the cutting's corners and cells over the
+reduction of one ``duplicates`` instance.  After the grids come the
+``estimate`` reports of every shape.  Two runs of one version print the
+same bytes, so two versions can be compared with ``cmp``.  ``invcount``
+is imported from ``PYTHONPATH``:
 
     PYTHONPATH=src python3 scripts/behaviour_snapshot.py > after.txt
     PYTHONPATH=/path/to/other/src python3 scripts/behaviour_snapshot.py > before.txt
@@ -17,9 +20,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import sys
 
+import numpy as np
+
+from invcount import (EmParams, InstanceSpec, IoTally, build_blue_cutting,
+                      build_red_cutting, generate, reduce_inversions)
 from invcount.cli import ALGORITHMS, main as cli
 
 #: Default grids, ``N:M:B``; one has ``B = 1``.
@@ -37,6 +45,23 @@ def run(argv: list[str]) -> str:
     if status:
         raise SystemExit(f"invcount {' '.join(argv)} exited with {status}")
     return out.getvalue()
+
+
+def cuttings(n: int, m: int, b: int) -> str:
+    """One line per orientation and depth: a digest of corners and cells."""
+    red, blue = reduce_inversions(generate(InstanceSpec(n, "duplicates")))
+    lines = []
+    for depth in (b, n // 8):
+        for name, build, base in (("red", build_red_cutting, red),
+                                  ("blue", build_blue_cutting, blue)):
+            cut = build(base, depth, IoTally(EmParams(m, b)))
+            sizes = [len(c) for c in cut.cells]
+            h = hashlib.sha256(cut.outward.tobytes())
+            h.update(np.concatenate([sizes, *cut.cells]).astype(np.int64).tobytes())
+            lines.append(f"cutting n={n} orientation={name} depth={depth} "
+                         f"corners={len(cut.outward)} cell_points={sum(sizes)} "
+                         f"digest={h.hexdigest()[:16]}\n")
+    return "".join(lines)
 
 
 def main() -> int:
@@ -61,6 +86,7 @@ def main() -> int:
                 sys.stdout.write(run(["count", "--alg", alg, *common,
                                       "--shape", shape, "--k", str(n),
                                       "--cap", str(n * b)]))
+        sys.stdout.write(cuttings(n, m, b))
     n = max(g[0] for g in grids)
     for shape in SHAPES:
         for seed in range(args.seeds):

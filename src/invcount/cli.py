@@ -121,6 +121,9 @@ def _emit(report: dict) -> None:
 
 def cmd_count(args) -> int:
     values, meta = _load_instance(args)
+    if args.verify and len(values) > 2000:
+        print("--verify requires n <= 2000", file=sys.stderr)
+        return EXIT_USAGE
     params = EmParams(args.mem, args.block)
     started = time.perf_counter_ns()
     count, rounds, tally = _run_counter(args.alg, values, params, args.cap)
@@ -141,9 +144,6 @@ def cmd_count(args) -> int:
     if args.timing:
         report["wall_ns"] = elapsed
     if args.verify:
-        if len(values) > 2000:
-            print("--verify requires n <= 2000", file=sys.stderr)
-            return EXIT_USAGE
         expected = brute_force_count(*reduce_inversions(values))
         if count is not None and count != expected:
             print(f"VERIFY FAILED: got {count}, oracle {expected}", file=sys.stderr)

@@ -18,10 +18,15 @@ guaranteed to land in a cell.
 
 Corner coordinates sit strictly between adjacent base coordinates in the
 strict total order (half-integer x, half-step tiebreak in y), so no query
-ever ties with the staircase.
+ever ties with the staircase.  Only the outward corners are stored: the
+inward corner between outward corners ``i`` and ``i + 1`` has the x of
+corner ``i`` and the key of corner ``i + 1``.
 
 The blue orientation is implemented by negating all coordinates and
-running the red sweep, so there is exactly one sweep to get right.
+running the red sweep, so there is exactly one sweep to get right.  The
+sweep compares integer ranks of the base keys, taken once per build;
+equal keys rank in sweep order, so the staircase keeps the later of two
+tied points, as a stable sort of the keys would.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet
+from .core import PointSet, ykey_less
 from .iomodel import IoTally
 
 _INF = float("inf")
@@ -39,48 +44,43 @@ _INF = float("inf")
 CORNER_WIDTH = 3
 
 
-def _sweep(xs: list, ykeys: list, k: int):
+def _sweep(rank: list[int], k: int):
     """Left-to-right sweep in red-oriented coordinates.
 
-    ``xs`` must be strictly ascending and ``ykeys`` strictly totally
-    ordered tuples.  Returns outward corners, inward corners (as coordinate
-    triples ``(x, yv, yt)``) and the per-cell base index lists.
+    ``rank`` holds the distinct key rank of each base point, in ascending
+    x order.  For each outward corner but the last, returns the base
+    position its x cut falls just before (``n`` past the last point) and
+    the floor point whose key the next corner sits just below; then the
+    ascending base index list of every cell.
     """
-    n = len(xs)
+    n = len(rank)
     if k < 1:
         raise ValueError("cutting depth must be at least 1")
     if n <= 2 * k:
         # Degenerate staircase: one corner whose cell is the whole plane.
-        return [(_INF, -_INF, 0.0)], [], [list(range(n))]
+        return [], [], [list(range(n))]
 
-    outward: list[tuple] = []
-    inward: list[tuple] = []
+    cuts: list[int] = []
+    floors: list[int] = []
     cells: list[list[int]] = []
-
     cur = list(range(2 * k))
-    cx = (xs[2 * k - 1] + xs[2 * k]) / 2.0
-    cy = (-_INF, 0.0)
     pos = 2 * k
-    while True:
-        outward.append((cx, cy[0], cy[1]))
+    while len(cur) == 2 * k:
+        cuts.append(pos)
         cells.append(sorted(cur))
-        # Raise the staircase: keep the k highest ykeys of the conflict
-        # list, anchoring the inward corner just below the lowest survivor.
-        cur.sort(key=lambda i: ykeys[i])
-        boundary = ykeys[cur[len(cur) - k]]
-        cy = (boundary[0], boundary[1] - 0.5)
-        inward.append((cx, cy[0], cy[1]))
-        cur = cur[len(cur) - k:]
+        # Raise the staircase: keep the k highest keys of the conflict
+        # list, anchoring the next corner just below the lowest survivor.
+        cur.sort(key=rank.__getitem__)
+        cur = cur[k:]
+        floors.append(cur[0])
+        floor = rank[cur[0]]
         # Extend right until the conflict list refills to 2k.
         while pos < n and len(cur) < 2 * k:
-            if ykeys[pos] > cy:
+            if rank[pos] > floor:
                 cur.append(pos)
             pos += 1
-        if len(cur) < 2 * k:
-            outward.append((_INF, cy[0], cy[1]))
-            cells.append(sorted(cur))
-            return outward, inward, cells
-        cx = (xs[pos - 1] + xs[pos]) / 2.0 if pos < n else xs[pos - 1] + 0.5
+    cells.append(sorted(cur))
+    return cuts, floors, cells
 
 
 @dataclass
@@ -88,40 +88,29 @@ class StaircaseCutting:
     """A constructed staircase with per-cell membership lists.
 
     Corners are stored in sweep order, which is ascending x for the red
-    orientation and descending x for the blue orientation.  The private
-    ``_t*`` arrays hold the corners in red-oriented (possibly negated)
-    coordinates and drive classification.
+    orientation and descending x for the blue orientation.
     """
 
     orientation: str
     k: int
     base: PointSet
     outward: np.ndarray        # shape (t, 3): x, y, y-tiebreak
-    inward: np.ndarray         # shape (t-1, 3)
     cells: list[np.ndarray] = field(repr=False)
-    _tx: np.ndarray = field(repr=False)
-    _tyv: np.ndarray = field(repr=False)
-    _tyt: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def _transform(self, x, y, t):
-        if self.orientation == "red":
-            return x, y, t
-        return -np.asarray(x), -np.asarray(y), -np.asarray(t)
+    def _transform(self, *coords):
+        """Red-oriented float coordinates (negated for the blue orientation)."""
+        sign = 1.0 if self.orientation == "red" else -1.0
+        return [sign * np.asarray(c, dtype=np.float64) for c in coords]
 
     def covers(self, ci: int, x, y, t):
         """Whether corner ``ci`` covers the point(s) with given coordinates."""
-        tx, tyv, tyt = self._transform(
-            np.asarray(x, dtype=np.float64),
-            np.asarray(y, dtype=np.float64),
-            np.asarray(t, dtype=np.float64),
-        )
-        cx, cyv, cyt = self._tx[ci], self._tyv[ci], self._tyt[ci]
-        above = (tyv > cyv) | ((tyv == cyv) & (tyt > cyt))
-        return (tx < cx) & above
+        tx, ty, tt = self._transform(x, y, t)
+        cx, cy, ct = self._transform(*self.outward[ci])
+        return (tx < cx) & ykey_less(cy, ct, ty, tt)
 
     def classify_many(self, pts: PointSet) -> np.ndarray:
         """Cell index for each shallow point, -1 for deep points.
@@ -131,54 +120,43 @@ class StaircaseCutting:
         """
         if len(pts) == 0:
             return np.empty(0, dtype=np.int64)
-        tx, tyv, tyt = self._transform(pts.x, pts.y, pts.tiebreak)
-        m = np.searchsorted(self._tx, tx, side="left")
-        above = (tyv > self._tyv[m]) | ((tyv == self._tyv[m]) & (tyt > self._tyt[m]))
-        return np.where(above, m, -1).astype(np.int64)
+        tx, ty, tt = self._transform(pts.x, pts.y, pts.tiebreak)
+        cx, cy, ct = self._transform(*self.outward.T)
+        m = np.searchsorted(cx, tx, side="left")
+        return np.where(ykey_less(cy[m], ct[m], ty, tt), m, -1).astype(np.int64)
 
     def charge_corners(self, tally: IoTally) -> None:
-        """Charge the writes that materialize the staircase corners."""
-        tally.charge_write(len(self.outward) + len(self.inward),
-                           width=CORNER_WIDTH)
+        """Charge the writes that materialize the outward and inward corners."""
+        tally.charge_write(2 * len(self.outward) - 1, width=CORNER_WIDTH)
 
     def cell_points(self, ci: int) -> PointSet:
         return self.base.take(self.cells[ci])
-
-    def debug_dict(self) -> dict:
-        return {
-            "orientation": self.orientation,
-            "depth": self.k,
-            "n_cells": self.n_cells,
-            "outward_corners": [list(map(float, c)) for c in self.outward],
-            "inward_corners": [list(map(float, c)) for c in self.inward],
-            "cell_sizes": [int(len(c)) for c in self.cells],
-        }
 
 
 def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> StaircaseCutting:
     n = len(base)
     tally.charge_read(n)  # one scan of the base points
-    if orientation == "red":
-        xs = base.x.tolist()
-        ys = base.y.tolist()
-        ts = base.tiebreak.tolist()
-        remap = None
-    else:
-        xs = (-base.x[::-1]).tolist()
-        ys = (-base.y[::-1]).tolist()
-        ts = (-base.tiebreak[::-1]).tolist()
-        remap = n - 1
-    ykeys = list(zip(ys, (float(t) for t in ts)))
-    outward, inward, cells = _sweep(xs, ykeys, k)
+    x, y, t = base.x, base.y, base.tiebreak
+    if orientation == "blue":
+        x, y, t = -x[::-1], -y[::-1], -t[::-1]
+    # lexsort is stable, so equal keys rank in sweep order, the order a
+    # stable sort of the (y, tiebreak) keys leaves them in: sorting and
+    # comparing ranks match sorting and comparing keys, ties included.
+    rank = np.lexsort((t, y)).argsort()
+    cuts, floors, cells = _sweep(rank.tolist(), k)
 
-    out_arr = np.array(outward, dtype=np.float64).reshape(-1, 3)
-    in_arr = np.array(inward, dtype=np.float64).reshape(-1, 3)
-    tx, tyv, tyt = out_arr[:, 0].copy(), out_arr[:, 1].copy(), out_arr[:, 2].copy()
-    if remap is not None:
-        cells = [[remap - i for i in cell] for cell in cells]
-        out_arr = -out_arr
-        in_arr = -in_arr
-    cell_arrays = [np.array(sorted(cell), dtype=np.intp) for cell in cells]
+    cuts = np.array(cuts, dtype=np.intp)
+    after = np.minimum(cuts, n - 1)
+    mid = np.where(cuts < n, (x[cuts - 1] + x[after]) / 2.0, x[cuts - 1] + 0.5)
+    outward = np.column_stack((
+        np.append(mid, _INF),
+        np.insert(y[floors], 0, -_INF),
+        np.insert(t[floors] - 0.5, 0, 0.0),
+    ))
+    cell_arrays = [np.array(cell, dtype=np.intp) for cell in cells]
+    if orientation == "blue":
+        outward = -outward
+        cell_arrays = [n - 1 - cell[::-1] for cell in cell_arrays]
 
     # Construction is a single scan; corners and conflict lists are only
     # charged when a consumer materializes them (see charge_corners and
@@ -187,12 +165,8 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
         orientation=orientation,
         k=k,
         base=base,
-        outward=out_arr,
-        inward=in_arr,
+        outward=outward,
         cells=cell_arrays,
-        _tx=tx,
-        _tyv=tyv,
-        _tyt=tyt,
     )
 
 

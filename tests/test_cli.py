@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from invcount import cli
 from invcount.cli import main, read_values
 
 
@@ -57,6 +58,16 @@ class TestCount:
     def test_verify_rejects_large_instances(self, capsys):
         code, _, err = run(capsys, [
             "count", "--alg", "mergesort", "--n", "4096", "--verify"])
+        assert code == 2 and "--verify" in err
+
+    def test_verify_rejects_large_instances_before_counting(self, capsys,
+                                                            monkeypatch):
+        def never(*args):
+            raise AssertionError("counted an instance --verify rejects")
+
+        monkeypatch.setattr(cli, "_run_counter", never)
+        code, _, err = run(capsys, [
+            "count", "--alg", "brute", "--n", "40000", "--verify"])
         assert code == 2 and "--verify" in err
 
     def test_timing_flag_adds_wall_clock(self, capsys):

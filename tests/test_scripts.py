@@ -36,8 +36,8 @@ def test_estimator_coverage():
 def test_behaviour_snapshot_is_deterministic():
     args = ("--grids", "60:64:2,40:32:1", "--seeds", "1")
     first = run_script("behaviour_snapshot.py", *args)
-    # Per grid: a header and five rows for each of six algorithms, then
-    # one count report per shape and algorithm; then one estimate report
-    # per shape.
-    assert len(first) == 2 * (6 * 6 + 6 * 6) + 6
+    # Per grid: a header and five rows for each of six algorithms, one
+    # count report per shape and algorithm, and one cutting digest per
+    # orientation and depth; then one estimate report per shape.
+    assert len(first) == 2 * (6 * 6 + 6 * 6 + 2 * 2) + 6
     assert run_script("behaviour_snapshot.py", *args) == first
