@@ -103,8 +103,8 @@ class StaircaseCutting:
 
     def _transform(self, *coords):
         """Red-oriented float coordinates (negated for the blue orientation)."""
-        sign = 1.0 if self.orientation == "red" else -1.0
-        return [sign * np.asarray(c, dtype=np.float64) for c in coords]
+        coords = [np.asarray(c, dtype=np.float64) for c in coords]
+        return coords if self.orientation == "red" else [-c for c in coords]
 
     def covers(self, ci: int, x, y, t):
         """Whether corner ``ci`` covers the point(s) with given coordinates."""
