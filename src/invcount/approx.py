@@ -63,8 +63,7 @@ class PairSampler:
 
     def __init__(self, cells: RedBlueCells):
         live = [c for c in cells.cells if c.weight > 0]
-        self.weights = np.array([c.weight for c in live], dtype=np.int64)
-        self.cum = np.cumsum(self.weights)
+        self.cum = np.cumsum([c.weight for c in live], dtype=np.int64)
         self.total = int(self.cum[-1]) if len(live) else 0
         self.r_sizes = np.array([len(c.red) for c in live], dtype=np.int64)
         self.b_sizes = np.array([len(c.blue) for c in live], dtype=np.int64)
@@ -130,10 +129,6 @@ def estimate_inversions(values, seed: int) -> Estimate:
     if not built.failed:
         sampler = PairSampler(built)
         space = sampler.total
-        if space == 0:
-            return Estimate(value=0.0, regime=REGIME_CELL, hits=0,
-                            sample_space=0, n_samples=0,
-                            epsilon_bound=log2(n) / n**0.25)
         ri, bi, _ = sampler.draw_many(rng, n)
         hits = sampler.count_hits(ri, bi)
         return Estimate(value=hits * space / n, regime=REGIME_CELL, hits=hits,

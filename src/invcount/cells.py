@@ -57,16 +57,6 @@ class RedBlueCells:
     cap: int
     cells: list[Cell] = field(default_factory=list)
     failed: bool = False
-    levels: int = 0
-
-    def debug_dict(self) -> dict:
-        return {
-            "cap": self.cap,
-            "outcome": "failure" if self.failed else "success",
-            "levels": self.levels,
-            "n_cells": len(self.cells),
-            "cell_sizes": [[len(c.red), len(c.blue)] for c in self.cells],
-        }
 
 
 def _half_level(build, base: PointSet, others: PointSet, depth: int, n0: int,
@@ -115,7 +105,6 @@ def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedB
         if nr < STOP_SIZE and nb < STOP_SIZE:
             result.cells.append(Cell(red=cur_red, blue=cur_blue, level=level))
             break
-        result.levels = level + 1
         depth = (2 * cap * (1 << level) + n0 - 1) // n0
 
         deep_blue = _half_level(build_red_cutting, cur_red, cur_blue, depth,

@@ -30,16 +30,6 @@ EXIT_PARSE = 3
 ALGORITHMS = ("brute", "mergesort", "nonadaptive", "capped", "adaptive",
               "adaptive-ram")
 
-_SHAPE_FLAGS = {
-    "sorted": "sorted",
-    "reverse": "reverse",
-    "random-permutation": "random_permutation",
-    "random-real": "random_real",
-    "duplicates": "duplicates",
-    "target-inversions": "target_inversions",
-}
-
-
 class InputParseError(Exception):
     def __init__(self, line_no: int, text: str):
         super().__init__(f"line {line_no}: cannot parse value {text!r}")
@@ -72,7 +62,7 @@ def read_values(stream) -> np.ndarray:
 
 
 def _load_instance(args) -> tuple[np.ndarray, dict]:
-    if getattr(args, "input", None):
+    if args.input:
         if args.input == "-":
             values = read_values(sys.stdin)
         else:
@@ -80,12 +70,9 @@ def _load_instance(args) -> tuple[np.ndarray, dict]:
                 values = read_values(fh)
         meta = {"source": args.input, "n": len(values)}
     else:
-        shape = _SHAPE_FLAGS[args.shape]
         spec = instances.InstanceSpec(
-            n=args.n, shape=shape, seed=args.seed,
-            target=getattr(args, "k", None),
-            dup_fraction=getattr(args, "dup_frac", 0.3),
-        )
+            n=args.n, shape=args.shape.replace("-", "_"), seed=args.seed,
+            target=args.k, dup_fraction=args.dup_frac)
         values = instances.generate(spec)
         meta = {"shape": args.shape, "n": args.n}
     digest = hashlib.sha256(values.tobytes()).hexdigest()[:16]
@@ -145,7 +132,9 @@ def cmd_count(args) -> int:
         report["wall_ns"] = elapsed
     if args.verify:
         expected = brute_force_count(*reduce_inversions(values))
-        if count is not None and count != expected:
+        # A failed capped round claims only that the truth exceeds --cap.
+        holds = expected > args.cap if count is None else count == expected
+        if not holds:
             print(f"VERIFY FAILED: got {count}, oracle {expected}", file=sys.stderr)
             return 1
         report["verified"] = True
@@ -194,21 +183,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p, with_alg=True):
-    if with_alg:
-        p.add_argument("--alg", choices=ALGORITHMS, default="adaptive")
+def _add_common(p):
     p.add_argument("--n", type=int, default=1000, help="instance length")
-    p.add_argument("--shape", choices=sorted(_SHAPE_FLAGS), default="random-permutation")
+    p.add_argument("--shape", default="random-permutation",
+                   choices=sorted(s.replace("_", "-") for s in instances.SHAPES))
     p.add_argument("--k", type=int, default=None,
                    help="target inversion count (target-inversions shape)")
     p.add_argument("--dup-frac", type=float, default=0.3,
                    help="duplicate fraction (duplicates shape)")
-    p.add_argument("--mem", type=int, default=2048, help="memory size M in words")
-    p.add_argument("--block", type=int, default=32, help="block size B in words")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", help="read values from FILE ('-' for stdin)")
-    p.add_argument("--cap", type=int, default=None,
-                   help="cap K for the capped algorithm")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the report (breaks byte-determinism)")
 
@@ -221,12 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="run an exact counter")
     _add_common(p_count)
+    p_count.add_argument("--alg", choices=ALGORITHMS, default="adaptive")
+    p_count.add_argument("--mem", type=int, default=2048,
+                         help="memory size M in words")
+    p_count.add_argument("--block", type=int, default=32,
+                         help="block size B in words")
+    p_count.add_argument("--cap", type=int, default=None,
+                         help="cap K for the capped algorithm")
     p_count.add_argument("--verify", action="store_true",
                          help="cross-check against the brute-force oracle")
     p_count.set_defaults(func=cmd_count)
 
     p_est = sub.add_parser("estimate", help="run the randomized estimator")
-    _add_common(p_est, with_alg=False)
+    _add_common(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
     p_bench = sub.add_parser("bench", help="sweep a benchmark grid, emit CSV")
@@ -250,7 +241,7 @@ def main(argv=None) -> int:
     if getattr(args, "alg", None) == "capped" and args.cap is None:
         parser.error("--alg capped requires --cap")
     if getattr(args, "shape", None) == "target-inversions" and \
-            getattr(args, "k", None) is None and not getattr(args, "input", None):
+            args.k is None and not args.input:
         parser.error("--shape target-inversions requires --k")
     try:
         return args.func(args)

@@ -14,9 +14,10 @@ use the lexicographic key ``(value, tiebreak)``, which is a strict total
 order.
 
 Two reference counters live here: an exhaustive O(n^2) enumeration and an
-O(n log n) counter that runs the level-by-level kernel of
-``counting.count_position_inversions``.  Everything else in the package is
-tested against them.
+O(n log n) counter that runs the level-by-level position-inversion kernel,
+``count_position_inversions``, which also lives here; the comparison-model
+counters of ``counting`` run the same kernel.  Everything else in the
+package is tested against the two reference counters.
 """
 
 from __future__ import annotations
@@ -115,17 +116,26 @@ class PointSet:
     def point(self, i: int) -> Point:
         return Point(int(self.x[i]), float(self.y[i]), int(self.tiebreak[i]))
 
-    def take(self, idx: np.ndarray) -> "PointSet":
-        """Subset by an ascending index array (keeps the x order)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return PointSet(self.x[idx], self.y[idx], self.tiebreak[idx], self.color)
+    def _take(self, idx: np.ndarray) -> "PointSet":
+        """Subset by an ascending ``intp`` index array, without the checks.
+
+        An ascending index keeps the x order, and the arrays are already
+        checked and cast, so the subset skips ``__post_init__``: only
+        points built from outside input go through it.
+        """
+        sub = object.__new__(PointSet)
+        object.__setattr__(sub, "x", self.x[idx])
+        object.__setattr__(sub, "y", self.y[idx])
+        object.__setattr__(sub, "tiebreak", self.tiebreak[idx])
+        object.__setattr__(sub, "color", self.color)
+        return sub
 
     def split(self, labels: np.ndarray, k: int) -> list["PointSet"]:
         """Subset ``j`` for each label ``j`` in ``range(k)``, in x order
         (empty where no point has the label)."""
         order = np.argsort(labels, kind="stable")
         ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-        return [self.take(order[a:b]) for a, b in zip([0] + ends, ends)]
+        return [self._take(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def reduce_inversions(values) -> tuple[PointSet, PointSet]:
@@ -175,16 +185,61 @@ def brute_force_count(red: PointSet, blue: PointSet) -> int:
     return int(total)
 
 
+def count_position_inversions(order: np.ndarray, red: np.ndarray,
+                              blue: np.ndarray) -> int:
+    """Pairs of positions ``i < j``, ``i`` red and ``j`` blue, with key i > key j.
+
+    ``order`` lists the positions by ascending key, equal keys in position
+    order, so equal keys never count; an entry may be red and blue at once.
+
+    A pair whose positions first differ in bit ``lev`` has ``i`` in the
+    left and ``j`` in the right half of one block of ``2 * 2**lev``
+    positions.  The kernel makes one vectorized pass per bit, from the top
+    bit down.  Each pass sees the entries grouped by block, in key order
+    within a block, so every right-half blue finds the left-half reds above
+    its key in one running sum; a stable split of every block into its two
+    halves then gives the grouping for the next bit.  After the sort that
+    produced ``order``, each of the ``ceil(log2 n)`` passes is linear, so
+    the whole count takes O(n log n) comparisons.  Indices and running sums
+    stay below ``n`` and one pass counts fewer than ``n**2 / 4`` pairs, so
+    int64 holds every intermediate for ``n`` up to ``MAX_LENGTH``.
+    """
+    n = len(order)
+    pos, is_red, is_blue = order, red[order], blue[order]
+    idx = np.arange(n)
+    total = 0
+    for lev in reversed(range((n - 1).bit_length())):
+        half = 1 << lev
+        right = (pos & half) != 0
+        # Earlier blocks are full, so a block starts at the index that
+        # equals its first position.
+        start = pos >> (lev + 1) << (lev + 1)
+        reds = np.cumsum(is_red & ~right)
+        k = np.flatnonzero(right & is_blue)
+        last = np.minimum(start[k] + 2 * half, n) - 1
+        total += int((reds[last] - reds[k]).sum())
+        if lev:
+            # Stable split: each block's left half first, both halves in
+            # key order.  ``lefts`` counts the left-half entries before an
+            # index within its block.
+            lefts = np.cumsum(~right) - ~right
+            lefts -= lefts[start]
+            dest = np.where(right, idx + np.minimum(half, n - start) - lefts,
+                            start + lefts)
+            perm = np.empty(n, dtype=np.intp)
+            perm[dest] = idx
+            pos, is_red, is_blue = pos[perm], is_red[perm], is_blue[perm]
+    return total
+
+
 def mergesort_count(values) -> int:
     """Count inversions of a list in O(n log n) comparisons.
 
     One stable sort, then the ``ceil(log2 n)`` linear passes of
-    ``counting.count_position_inversions`` with every element both red and
+    :func:`count_position_inversions` with every element both red and
     blue; the stable sort keeps equal values in position order, so they
     never invert.
     """
-    from .counting import count_position_inversions
-
     if not isinstance(values, ValueList):
         values = ValueList(values)
     values = values.values

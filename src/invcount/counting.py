@@ -26,10 +26,10 @@ last round, so the I/O count adapts to the true number of pairs.
 
 The comparison/RAM-model rounds (``count_capped_ram``, and
 ``count_adaptive_ram`` over ``ram_cap_schedule``) count each cell with
-``merge_count_dominance`` instead: one O(n log n) sort, then
-``ceil(log2 n)`` linear vectorized passes, the kernel that
-``core.mergesort_count`` runs too.  Only the I/O-model counters reach the
-distribution recursion.
+``merge_count_dominance`` instead: one O(n log n) sort, then the
+``ceil(log2 n)`` linear vectorized passes of the position-inversion kernel,
+which lives in ``core`` beside ``core.mergesort_count``, its other user.
+Only the I/O-model counters reach the distribution recursion.
 """
 
 from __future__ import annotations
@@ -42,55 +42,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .cells import build_cells
-from .core import PointSet, brute_force_count
+from .core import PointSet, brute_force_count, count_position_inversions
 from .iomodel import EmParams, IoTally, RAM_PARAMS
-
-
-def count_position_inversions(order: np.ndarray, red: np.ndarray,
-                              blue: np.ndarray) -> int:
-    """Pairs of positions ``i < j``, ``i`` red and ``j`` blue, with key i > key j.
-
-    ``order`` lists the positions by ascending key, equal keys in position
-    order, so equal keys never count; an entry may be red and blue at once.
-
-    A pair whose positions first differ in bit ``lev`` has ``i`` in the
-    left and ``j`` in the right half of one block of ``2 * 2**lev``
-    positions.  The kernel makes one vectorized pass per bit, from the top
-    bit down.  Each pass sees the entries grouped by block, in key order
-    within a block, so every right-half blue finds the left-half reds above
-    its key in one running sum; a stable split of every block into its two
-    halves then gives the grouping for the next bit.  After the sort that
-    produced ``order``, each of the ``ceil(log2 n)`` passes is linear, so
-    the whole count takes O(n log n) comparisons.  Indices and running sums
-    stay below ``n`` and one pass counts fewer than ``n**2 / 4`` pairs, so
-    int64 holds every intermediate for ``n`` up to ``core.MAX_LENGTH``.
-    """
-    n = len(order)
-    pos, is_red, is_blue = order, red[order], blue[order]
-    idx = np.arange(n)
-    total = 0
-    for lev in reversed(range((n - 1).bit_length())):
-        half = 1 << lev
-        right = (pos & half) != 0
-        # Earlier blocks are full, so a block starts at the index that
-        # equals its first position.
-        start = pos >> (lev + 1) << (lev + 1)
-        reds = np.cumsum(is_red & ~right)
-        k = np.flatnonzero(right & is_blue)
-        last = np.minimum(start[k] + 2 * half, n) - 1
-        total += int((reds[last] - reds[k]).sum())
-        if lev:
-            # Stable split: each block's left half first, both halves in
-            # key order.  ``lefts`` counts the left-half entries before an
-            # index within its block.
-            lefts = np.cumsum(~right) - ~right
-            lefts -= lefts[start]
-            dest = np.where(right, idx + np.minimum(half, n - start) - lefts,
-                            start + lefts)
-            perm = np.empty(n, dtype=np.intp)
-            perm[dest] = idx
-            pos, is_red, is_blue = pos[perm], is_red[perm], is_blue[perm]
-    return total
 
 
 def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
@@ -100,8 +53,8 @@ def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
     distribution-based recursion.  Both colors are merged by x, blue before
     red on equal x so that equal-x pairs (never dominating) cannot count;
     the domination pairs are then the red-blue position inversions under
-    the ``(y, tiebreak)`` key, which ``count_position_inversions`` counts
-    in ``ceil(log2 n)`` passes.
+    the ``(y, tiebreak)`` key, which ``core.count_position_inversions``
+    counts in ``ceil(log2 n)`` passes.
     """
     nr, nb = len(red), len(blue)
     if nr == 0 or nb == 0:

@@ -130,7 +130,7 @@ class StaircaseCutting:
         tally.charge_write(2 * len(self.outward) - 1, width=CORNER_WIDTH)
 
     def cell_points(self, ci: int) -> PointSet:
-        return self.base.take(self.cells[ci])
+        return self.base._take(self.cells[ci])
 
 
 def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> StaircaseCutting:

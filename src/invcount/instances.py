@@ -37,36 +37,6 @@ class InstanceSpec:
     dup_fraction: float = 0.3           # duplicates only
 
 
-class _SelectTree:
-    """Fenwick tree over n unit counts with k-th order-statistic removal."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            self.tree[i] += 1
-            j = i + (i & -i)
-            if j <= n:
-                self.tree[j] += self.tree[i]
-
-    def pop_kth(self, k: int) -> int:
-        """Remove and return the (k+1)-th remaining index (0-based)."""
-        pos = 0
-        rem = k + 1
-        mask = 1 << (self.n.bit_length())
-        while mask:
-            nxt = pos + mask
-            if nxt <= self.n and self.tree[nxt] < rem:
-                pos = nxt
-                rem -= self.tree[pos]
-            mask >>= 1
-        idx = pos + 1
-        while idx <= self.n:
-            self.tree[idx] -= 1
-            idx += idx & -idx
-        return pos
-
-
 def random_inversion_table(n: int, k: int, rng: np.random.Generator) -> list[int]:
     """Offset table with entries in [0, n-1-i] summing to exactly ``k``."""
     max_total = n * (n - 1) // 2
@@ -89,10 +59,24 @@ def random_inversion_table(n: int, k: int, rng: np.random.Generator) -> list[int
 def decode_inversion_table(table: list[int]) -> np.ndarray:
     """Permutation of 0..n-1 whose inversion count is the table's sum."""
     n = len(table)
-    tree = _SelectTree(n)
+    # Fenwick tree over n unit counts: node j sums the j & -j counts
+    # ending at j.  Entry b selects and removes the (b+1)-th remaining index.
+    tree = [j & -j for j in range(n + 1)]
+    top = 1 << n.bit_length()
     out = np.empty(n, dtype=np.float64)
     for i, b in enumerate(table):
-        out[i] = tree.pop_kth(b)
+        pos, rem, mask = 0, b + 1, top
+        while mask:
+            nxt = pos + mask
+            if nxt <= n and tree[nxt] < rem:
+                pos = nxt
+                rem -= tree[pos]
+            mask >>= 1
+        out[i] = pos
+        j = pos + 1
+        while j <= n:
+            tree[j] -= 1
+            j += j & -j
     return out
 
 
@@ -101,6 +85,8 @@ def generate(spec: InstanceSpec) -> np.ndarray:
     n = spec.n
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not 0.0 <= spec.dup_fraction <= 1.0:
+        raise ValueError("dup_fraction must lie in [0, 1]")
     rng = np.random.default_rng(spec.seed)
     if spec.shape == "sorted":
         return np.arange(n, dtype=np.float64)

@@ -55,6 +55,20 @@ class TestCount:
             "--n", "500", "--verify"])
         assert report["verified"] is True
 
+    def test_verify_checks_a_failed_round_against_the_cap(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "count_capped", lambda *args: None)
+        code, out, err = run(capsys, [
+            "count", "--alg", "capped", "--cap", "10", "--shape", "sorted",
+            "--n", "100", "--verify"])
+        assert code == 1 and out == "" and "VERIFY FAILED" in err
+
+    def test_verify_accepts_a_failure_above_the_cap(self, capsys):
+        report = run_json(capsys, [
+            "count", "--alg", "capped", "--cap", "10", "--shape", "reverse",
+            "--n", "100", "--verify"])
+        assert report["failed"] is True and report["verified"] is True
+
     def test_verify_rejects_large_instances(self, capsys):
         code, _, err = run(capsys, [
             "count", "--alg", "mergesort", "--n", "4096", "--verify"])
@@ -180,6 +194,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--alg", "quantum"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--mem", "64"], ["--block", "8"],
+                                      ["--cap", "5"], ["--alg", "brute"]])
+    def test_estimate_rejects_count_options(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--n", "10"] + flag)
+        assert exc.value.code == 2
+
+    def test_dup_frac_out_of_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "count", "--shape", "duplicates", "--dup-frac", "7", "--n", "10"])
+        assert code == 2 and out == "" and "dup_fraction" in err
 
     def test_infeasible_target_is_usage_error(self, capsys):
         code, _, err = run(capsys, [

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcount import (Point, PointSet, ValueList, brute_force_count, core,
-                      dominates, estimate_inversions, mergesort_count,
+from invcount import (EmParams, InstanceSpec, IoTally, Point, PointSet,
+                      ValueList, brute_force_count, core, count_adaptive,
+                      count_adaptive_ram, count_nonadaptive, dominates,
+                      estimate_inversions, generate, mergesort_count,
                       reduce_inversions)
 
 
@@ -78,7 +80,7 @@ class TestBruteForce:
     def test_slabs_match_one_mask(self, monkeypatch, entries):
         values = np.random.default_rng(5).integers(0, 20, 90)
         red, blue = reduce_inversions(values)
-        few = blue.take(np.arange(7))
+        few = PointSet(blue.x[:7], blue.y[:7], blue.tiebreak[:7], "blue")
         expect = [brute_force_count(red, blue), brute_force_count(red, few)]
         monkeypatch.setattr(core, "MASK_ENTRIES", entries)
         assert [brute_force_count(red, blue), brute_force_count(red, few)] == expect
@@ -167,3 +169,41 @@ class TestSplit:
     def test_empty_set(self):
         groups = PointSet([], [], []).split(np.empty(0, dtype=np.int64), 3)
         assert [len(g) for g in groups] == [0, 0, 0]
+
+
+class TestChecksOnEntry:
+    """Only points built from outside input run the constructor's checks."""
+
+    PARAMS = EmParams(256, 8)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        check = PointSet.__post_init__
+
+        def counted(self):
+            calls.append(len(self))
+            check(self)
+
+        monkeypatch.setattr(PointSet, "__post_init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("count", [
+        lambda r, b, p: count_nonadaptive(r, b, p, IoTally(p)),
+        lambda r, b, p: count_adaptive(r, b, p, IoTally(p)).count,
+        lambda r, b, p: count_adaptive_ram(r, b).count,
+    ], ids=["nonadaptive", "adaptive", "adaptive-ram"])
+    def test_counters_check_nothing_they_cut(self, checked, count):
+        values = generate(InstanceSpec(2000, "random_permutation", seed=4))
+        red, blue = reduce_inversions(values)
+        assert checked == [2000, 2000]
+        assert count(red, blue, self.PARAMS) == mergesort_count(values)
+        assert checked == [2000, 2000]
+
+    @pytest.mark.parametrize("k, regime", [(1000, "exact_small"),
+                                           (40000, "cell_sampling")])
+    def test_estimator_checks_its_reduction_only(self, checked, k, regime):
+        values = generate(InstanceSpec(2000, "target_inversions", seed=3,
+                                       target=k))
+        assert estimate_inversions(values, seed=0).regime == regime
+        assert checked == [2000, 2000]

@@ -44,6 +44,11 @@ class TestShapes:
         with pytest.raises(ValueError):
             generate(InstanceSpec(10, "target_inversions"))
 
+    @pytest.mark.parametrize("frac", [-0.1, 1.5, 7.0, float("nan")])
+    def test_dup_fraction_out_of_range_rejected(self, frac):
+        with pytest.raises(ValueError):
+            generate(InstanceSpec(10, "duplicates", dup_fraction=frac))
+
     def test_every_declared_shape_generates(self):
         for shape in SHAPES:
             target = 3 if shape == "target_inversions" else None
