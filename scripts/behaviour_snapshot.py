@@ -47,6 +47,11 @@ def run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def alg_args(alg: str, cap: int) -> list[str]:
+    """``--alg``, and ``--cap`` for the one algorithm that reads it."""
+    return ["--alg", alg] + (["--cap", str(cap)] if alg == "capped" else [])
+
+
 def cuttings(n: int, m: int, b: int) -> str:
     """One line per orientation and depth: a digest of corners and cells."""
     red, blue = reduce_inversions(generate(InstanceSpec(n, "duplicates")))
@@ -78,14 +83,12 @@ def main() -> int:
                                            n * n // 4, n * n // 16))
         common = ["--n", str(n), "--mem", str(m), "--block", str(b)]
         for alg in ALGORITHMS:
-            sys.stdout.write(run(["bench", "--alg", alg, *common,
-                                  "--kstar", kstars, "--seeds", str(args.seeds),
-                                  "--cap", str(n * b)]))
+            sys.stdout.write(run(["bench", *alg_args(alg, n * b), *common,
+                                  "--kstar", kstars, "--seeds", str(args.seeds)]))
         for shape in SHAPES:
             for alg in ALGORITHMS:
-                sys.stdout.write(run(["count", "--alg", alg, *common,
-                                      "--shape", shape, "--k", str(n),
-                                      "--cap", str(n * b)]))
+                sys.stdout.write(run(["count", *alg_args(alg, n * b), *common,
+                                      "--shape", shape, "--k", str(n)]))
         sys.stdout.write(cuttings(n, m, b))
     n = max(g[0] for g in grids)
     for shape in SHAPES:

@@ -9,7 +9,7 @@ count, measured by an analytic external-memory tally) or approximately
 
 from .approx import Estimate, PairSampler, estimate_inversions
 from .cells import Cell, RedBlueCells, audit_cells, build_cells
-from .core import (Point, PointSet, ValueList, brute_force_count, dominates,
+from .core import (Point, PointSet, brute_force_count, dominates,
                    mergesort_count, reduce_inversions)
 from .counting import (AdaptiveCount, cap_schedule, count_adaptive,
                        count_adaptive_ram, count_capped, count_capped_ram,
@@ -18,13 +18,13 @@ from .counting import (AdaptiveCount, cap_schedule, count_adaptive,
 from .cuttings import (StaircaseCutting, build_blue_cutting,
                        build_red_cutting)
 from .instances import InstanceSpec, generate
-from .iomodel import EmParams, IoTally, POINT_WIDTH, RAM_PARAMS
+from .iomodel import EmParams, IoTally, RAM_PARAMS
 
 __all__ = [
     "AdaptiveCount", "Cell", "EmParams", "Estimate",
     "InstanceSpec", "IoTally", "PairSampler", "Point", "PointSet",
-    "POINT_WIDTH", "RAM_PARAMS", "RedBlueCells", "StaircaseCutting",
-    "ValueList", "audit_cells", "brute_force_count", "build_blue_cutting",
+    "RAM_PARAMS", "RedBlueCells", "StaircaseCutting", "audit_cells",
+    "brute_force_count", "build_blue_cutting",
     "build_cells", "build_red_cutting", "cap_schedule", "count_adaptive",
     "count_adaptive_ram", "count_capped", "count_capped_ram",
     "count_nonadaptive", "dominates", "estimate_inversions", "generate",

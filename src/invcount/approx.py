@@ -28,7 +28,7 @@ from math import ceil, log2
 import numpy as np
 
 from .cells import RedBlueCells, build_cells
-from .core import PointSet, ValueList, reduce_inversions, ykey_less
+from .core import PointSet, reduce_inversions, ykey_less
 from .counting import count_capped_ram
 from .iomodel import IoTally, RAM_PARAMS
 
@@ -94,12 +94,17 @@ class PairSampler:
         return int(np.count_nonzero(dom))
 
 
-def draw_uniform_pair(red: PointSet, blue: PointSet, rng: np.random.Generator):
-    """Independent uniform red and blue points."""
+def _uniform_indices(red: PointSet, blue: PointSet, rng: np.random.Generator,
+                     m: int | None = None):
+    """Independent uniform red and blue indices: ``m`` of each, or one."""
     if len(red) == 0 or len(blue) == 0:
         raise ValueError("cannot sample from an empty point set")
-    i = int(rng.integers(0, len(red)))
-    j = int(rng.integers(0, len(blue)))
+    return rng.integers(0, len(red), size=m), rng.integers(0, len(blue), size=m)
+
+
+def draw_uniform_pair(red: PointSet, blue: PointSet, rng: np.random.Generator):
+    """Independent uniform red and blue points."""
+    i, j = _uniform_indices(red, blue, rng)
     return red.point(i), blue.point(j)
 
 
@@ -112,12 +117,10 @@ def middle_regime_cap(n: int) -> int:
 
 def estimate_inversions(values, seed: int) -> Estimate:
     """Estimate the inversion count of a list in roughly linear time."""
-    if not isinstance(values, ValueList):
-        values = ValueList(values)
-    n = len(values)
+    red, blue = reduce_inversions(values)
+    n = len(red)
     if n < 1:
         raise ValueError("need at least one value")
-    red, blue = reduce_inversions(values)
 
     exact = count_capped_ram(red, blue, n)
     if exact is not None:
@@ -131,15 +134,13 @@ def estimate_inversions(values, seed: int) -> Estimate:
         space = sampler.total
         ri, bi, _ = sampler.draw_many(rng, n)
         hits = sampler.count_hits(ri, bi)
-        return Estimate(value=hits * space / n, regime=REGIME_CELL, hits=hits,
-                        sample_space=space, n_samples=n,
-                        epsilon_bound=log2(n) / n**0.25)
-
-    ri = rng.integers(0, n, size=n)
-    bi = rng.integers(0, n, size=n)
-    dom = (blue.x[bi] > red.x[ri]) & ykey_less(
-        blue.y[bi], blue.tiebreak[bi], red.y[ri], red.tiebreak[ri])
-    hits = int(np.count_nonzero(dom))
-    return Estimate(value=float(hits * n), regime=REGIME_UNIFORM, hits=hits,
-                    sample_space=n * n, n_samples=n,
-                    epsilon_bound=n**-0.25)
+        regime, epsilon = REGIME_CELL, log2(n) / n**0.25
+    else:
+        space = n * n
+        ri, bi = _uniform_indices(red, blue, rng, n)
+        dom = (blue.x[bi] > red.x[ri]) & ykey_less(
+            blue.y[bi], blue.tiebreak[bi], red.y[ri], red.tiebreak[ri])
+        hits = int(np.count_nonzero(dom))
+        regime, epsilon = REGIME_UNIFORM, n**-0.25
+    return Estimate(value=hits * space / n, regime=regime, hits=hits,
+                    sample_space=space, n_samples=n, epsilon_bound=epsilon)

@@ -143,14 +143,12 @@ class CellAudit:
                 f"size ratio {self.total_size_ratio:.2f}")
 
 
-def _cell_pairs(cell: Cell) -> set:
-    """Domination pairs of one cell as (red tiebreak, blue tiebreak) ids."""
+def _cell_pairs(cell: Cell) -> np.ndarray:
+    """Domination pairs of one cell: (red, blue) tiebreak ids, one per column."""
     r, b = cell.red, cell.blue
-    if len(r) == 0 or len(b) == 0:
-        return set()
     bi, ri = np.nonzero(dominance_mask(
         b.x[:, None], b.y[:, None], b.tiebreak[:, None], r.x, r.y, r.tiebreak))
-    return {(int(r.tiebreak[j]), int(b.tiebreak[i])) for i, j in zip(bi, ri)}
+    return np.stack([r.tiebreak[ri], b.tiebreak[bi]])
 
 
 def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudit:
@@ -163,16 +161,22 @@ def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudi
         raise ValueError("cannot audit a failed cell construction")
     n = max(len(red), len(blue), 1)
 
-    seen: dict[tuple, int] = {}
-    for cell in result.cells:
-        for pair in _cell_pairs(cell):
-            seen[pair] = seen.get(pair, 0) + 1
-    duplicates = sorted(p for p, c in seen.items() if c > 1)
-
-    full = _cell_pairs(Cell(red=red, blue=blue))
-    missing = sorted(full - set(seen))
+    found = [_cell_pairs(c) for c in result.cells]
+    total = sum(f.shape[1] for f in found)
+    # One sort by (red, blue) id puts the found copies of each pair next
+    # to its true copy, if any.
+    pairs = np.concatenate(found + [_cell_pairs(Cell(red=red, blue=blue))],
+                           axis=1)
+    order = np.lexsort(pairs[::-1])
+    pairs = pairs[:, order]
+    head = np.ones(pairs.shape[1], dtype=bool)
+    head[1:] = np.any(pairs[:, 1:] != pairs[:, :-1], axis=0)
+    n_found = np.bincount(np.cumsum(head)[order < total] - 1,
+                          minlength=int(head.sum()))
+    heads = pairs[:, head].T
+    duplicates = list(map(tuple, heads[n_found > 1].tolist()))
+    missing = list(map(tuple, heads[n_found == 0].tolist()))
     expected = brute_force_count(red, blue)
-    total = sum(seen.values())
 
     small_side = max(
         (min(len(c.red), len(c.blue)) / (1 << c.level) for c in result.cells),

@@ -165,9 +165,9 @@ def cmd_estimate(args) -> int:
 def cmd_bench(args) -> int:
     params = EmParams(args.mem, args.block)
     kstars = [int(s) for s in args.kstar.split(",")]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["n", "mem", "block", "kstar", "algorithm", "seed",
-                     "io_reads", "io_writes", "rounds", "wall_ns"])
+    # The CSV is written once the whole grid has run, so a usage error
+    # leaves stdout empty.
+    rows = []
     for kstar in kstars:
         for s in range(args.seeds):
             seed = args.seed + s
@@ -177,9 +177,13 @@ def cmd_bench(args) -> int:
             started = time.perf_counter_ns()
             count, rounds, tally = _run_counter(args.alg, values, params, args.cap)
             elapsed = time.perf_counter_ns() - started
-            writer.writerow([args.n, args.mem, args.block, kstar, args.alg,
-                             seed, tally.reads, tally.writes, rounds,
-                             elapsed if args.timing else 0])
+            rows.append([args.n, args.mem, args.block, kstar, args.alg,
+                         seed, tally.reads, tally.writes, rounds,
+                         elapsed if args.timing else 0])
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["n", "mem", "block", "kstar", "algorithm", "seed",
+                     "io_reads", "io_writes", "rounds", "wall_ns"])
+    writer.writerows(rows)
     return 0
 
 
@@ -238,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alg", None) == "capped" and args.cap is None:
-        parser.error("--alg capped requires --cap")
+    if (getattr(args, "alg", None) == "capped") != \
+            (getattr(args, "cap", None) is not None):
+        parser.error("--cap must be given with --alg capped and only with it")
     if getattr(args, "shape", None) == "target-inversions" and \
             args.k is None and not args.input:
         parser.error("--shape target-inversions requires --k")

@@ -55,36 +55,28 @@ def ykey_less(y1, t1, y2, t2):
     return (y1 < y2) | ((y1 == y2) & (t1 < t2))
 
 
-@dataclass(frozen=True)
-class ValueList:
-    """An input list of finite 64-bit floats.
+def _checked_values(values) -> np.ndarray:
+    """An input list as a one-dimensional array of finite 64-bit floats.
 
     Integer input must convert to float64 exactly; a value that would be
     rounded (possible only from ``2**53`` on) is rejected rather
     than silently changing the count.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.values)
-        vals = np.asarray(raw, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("value list must be one-dimensional")
-        if len(vals) > MAX_LENGTH:
-            raise ValueError(f"value list longer than {MAX_LENGTH}")
-        if len(vals) and not np.all(np.isfinite(vals)):
-            raise ValueError("value list must contain only finite numbers")
-        if raw.dtype.kind in "iuO":
-            # Integers of smaller magnitude are exact in a float64.
-            big = np.abs(vals) >= 2.0**53
-            for v, f in zip(raw[big].tolist(), vals[big].tolist()):
-                if isinstance(v, (int, np.integer)) and int(v) != f:
-                    raise ValueError(f"integer {v} has no exact float64 value")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
+    raw = np.asarray(values)
+    vals = np.asarray(raw, dtype=np.float64)
+    if vals.ndim != 1:
+        raise ValueError("value list must be one-dimensional")
+    if len(vals) > MAX_LENGTH:
+        raise ValueError(f"value list longer than {MAX_LENGTH}")
+    if len(vals) and not np.all(np.isfinite(vals)):
+        raise ValueError("value list must contain only finite numbers")
+    if raw.dtype.kind in "iuO":
+        # Integers of smaller magnitude are exact in a float64.
+        big = np.abs(vals) >= 2.0**53
+        for v, f in zip(raw[big].tolist(), vals[big].tolist()):
+            if isinstance(v, (int, np.integer)) and int(v) != f:
+                raise ValueError(f"integer {v} has no exact float64 value")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -144,13 +136,9 @@ def reduce_inversions(values) -> tuple[PointSet, PointSet]:
     Both sets contain the point ``(i, L(i))`` with tiebreak ``i``; the
     domination pairs between them are exactly the inversions of the list.
     """
-    if not isinstance(values, ValueList):
-        values = ValueList(values)
-    n = len(values)
-    idx = np.arange(n, dtype=np.int64)
-    red = PointSet(idx, values.values, idx, "red")
-    blue = PointSet(idx, values.values, idx, "blue")
-    return red, blue
+    values = _checked_values(values)
+    idx = np.arange(len(values), dtype=np.int64)
+    return PointSet(idx, values, idx, "red"), PointSet(idx, values, idx, "blue")
 
 
 def dominance_mask(bx, by, bt, rx, ry, rt) -> np.ndarray:
@@ -240,9 +228,7 @@ def mergesort_count(values) -> int:
     blue; the stable sort keeps equal values in position order, so they
     never invert.
     """
-    if not isinstance(values, ValueList):
-        values = ValueList(values)
-    values = values.values
+    values = _checked_values(values)
     every = np.ones(len(values), dtype=bool)
     return count_position_inversions(
         np.argsort(values, kind="stable"), every, every)

@@ -201,21 +201,24 @@ class AdaptiveCount:
     """Result of a guessing-round run: the count and the rounds it took."""
 
     count: int
-    rounds: int
     caps: list[int] = field(default_factory=list)
+
+    @property
+    def rounds(self) -> int:
+        return len(self.caps)
 
 
 def _rounds(n: int, schedule: Iterator[int],
             capped: Callable[[int], Optional[int]]) -> AdaptiveCount:
     """Run ``capped`` on each cap of ``schedule`` until a round succeeds."""
     if n == 0:
-        return AdaptiveCount(0, 0)
+        return AdaptiveCount(0)
     caps: list[int] = []
     for cap in schedule:
         caps.append(cap)
         res = capped(cap)
         if res is not None:
-            return AdaptiveCount(res, len(caps), caps)
+            return AdaptiveCount(res, caps)
     raise AssertionError("saturated cap cannot fail")
 
 

@@ -118,8 +118,6 @@ class StaircaseCutting:
         The assigned cell is the first containing cell in sweep order,
         which makes assignment deterministic.
         """
-        if len(pts) == 0:
-            return np.empty(0, dtype=np.int64)
         tx, ty, tt = self._transform(pts.x, pts.y, pts.tiebreak)
         cx, cy, ct = self._transform(*self.outward.T)
         m = np.searchsorted(cx, tx, side="left")

@@ -7,8 +7,8 @@ from invcount import (Estimate, InstanceSpec, PairSampler, brute_force_count,
                       estimate_inversions, generate, mergesort_count,
                       reduce_inversions)
 from invcount.approx import (EmptySampleSpaceError, REGIME_CELL, REGIME_EXACT,
-                             REGIME_UNIFORM, draw_uniform_pair,
-                             middle_regime_cap)
+                             REGIME_UNIFORM, _uniform_indices,
+                             draw_uniform_pair, middle_regime_cap)
 from invcount.cells import Cell, RedBlueCells, build_cells
 from invcount.core import PointSet, dominates
 from invcount.iomodel import IoTally, RAM_PARAMS
@@ -61,6 +61,26 @@ class TestRegimeDispatch:
         assert all(e.regime == REGIME_UNIFORM for e in ests)
         mean = np.mean([e.value for e in ests])
         assert abs(mean - kstar) <= 0.12 * kstar
+
+    def test_uniform_regime_draws_through_the_uniform_sampler(self, monkeypatch):
+        import invcount.approx as approx
+
+        calls = []
+
+        def recording(red, blue, rng, m=None):
+            calls.append((red, blue, m, *_uniform_indices(red, blue, rng, m)))
+            return calls[-1][3:]
+
+        monkeypatch.setattr(approx, "_uniform_indices", recording)
+        monkeypatch.setattr(approx, "build_cells",
+                            lambda *a, **k: RedBlueCells(cap=1, failed=True))
+        values = generate(InstanceSpec(512, "random_permutation", seed=2))
+        est = estimate_inversions(values, seed=3)
+        assert est.regime == REGIME_UNIFORM and len(calls) == 1
+        red, blue, m, ri, bi = calls[0]
+        assert m == est.n_samples == 512 and est.sample_space == m * m
+        hits = sum(dominates(blue.point(j), red.point(i)) for i, j in zip(ri, bi))
+        assert est.hits == hits and est.value == hits * m
 
     def test_deterministic_given_seed(self):
         values = generate(InstanceSpec(1024, "target_inversions", seed=1,
@@ -174,6 +194,15 @@ class TestUniformPairs:
         for _ in range(m):
             r, b = draw_uniform_pair(red, blue, rng)
             counts[r.x, b.x] += 1
+        p = 1 / 16
+        sigma = np.sqrt(p * (1 - p) / m)
+        assert np.all(np.abs(counts / m - p) <= 5 * sigma)
+
+    def test_vector_draws_uniform_n4(self):
+        red, blue = reduce_inversions(generate(InstanceSpec(4, "random_permutation")))
+        m = 100_000
+        ri, bi = _uniform_indices(red, blue, np.random.default_rng(2), m)
+        counts = np.bincount(4 * ri + bi, minlength=16)
         p = 1 / 16
         sigma = np.sqrt(p * (1 - p) / m)
         assert np.all(np.abs(counts / m - p) <= 5 * sigma)

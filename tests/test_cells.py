@@ -1,13 +1,16 @@
 """Red-blue cell construction: partition exactness and the failure contract."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcount import (InstanceSpec, IoTally, RAM_PARAMS, audit_cells,
-                      brute_force_count, build_cells, generate,
-                      mergesort_count, reduce_inversions)
+from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
+                      audit_cells, brute_force_count, build_cells,
+                      count_capped, dominates, generate, mergesort_count,
+                      reduce_inversions)
 from invcount.cells import Cell
 
 
@@ -56,6 +59,20 @@ class TestContract:
         assert tally.writes == 0
         assert tally.reads == 2 * params.blocks(256, 2)
 
+    def test_blue_half_level_failure(self):
+        """The red cutting's half-level passes and the blue one fails."""
+        values = generate(InstanceSpec(64, "random_permutation", seed=5))
+        red, blue = reduce_inversions(values)
+        assert mergesort_count(values) == 1043
+        tally = IoTally(RAM_PARAMS)
+        built = build_cells(red, blue, 256, tally)
+        assert built.failed and len(built.cells) == 3
+        assert (tally.reads, tally.writes) == (448, 181)
+        params = EmParams(2048, 32)
+        tally = IoTally(params)
+        assert count_capped(red, blue, 256, params, tally) is None
+        assert (tally.reads, tally.writes) == (14, 6)
+
 
 class TestAudit:
     def test_gentle_300_permutation_cap_16n(self):
@@ -87,6 +104,27 @@ class TestAudit:
         built.cells.remove(dropped[0])
         audit = audit_cells(built, red, blue)
         assert not audit.ok
+
+    def test_reported_pairs_match_a_set_reference(self):
+        values = generate(InstanceSpec(200, "target_inversions", seed=2,
+                                       target=600))
+        red, blue, built = build(values, 16 * 200)
+        hit = [c for c in built.cells if brute_force_count(c.red, c.blue)]
+        assert len(hit) >= 2
+        built.cells.remove(hit[0])
+        built.cells.append(hit[1])
+
+        def pairs(r, b):
+            return [(p.tiebreak, q.tiebreak)
+                    for p in map(r.point, range(len(r)))
+                    for q in map(b.point, range(len(b))) if dominates(q, p)]
+
+        seen = Counter(p for c in built.cells for p in pairs(c.red, c.blue))
+        audit = audit_cells(built, red, blue)
+        assert audit.duplicate_pairs == sorted(p for p, k in seen.items() if k > 1)
+        assert audit.missing_pairs == sorted(set(pairs(red, blue)) - set(seen))
+        assert audit.duplicate_pairs and audit.missing_pairs
+        assert audit.total_pairs == sum(seen.values())
 
     def test_audit_refuses_failed_build(self):
         red, blue, built = build(generate(InstanceSpec(256, "reverse")), 256)

@@ -98,6 +98,11 @@ class TestEstimate:
         assert report["regime"] == "exact_small"
         assert report["value"] == 0
 
+    def test_timing_flag_adds_wall_clock(self, capsys):
+        report = run_json(capsys, [
+            "estimate", "--n", "100", "--seed", "1", "--timing"])
+        assert report["wall_ns"] > 0
+
     def test_seed_changes_sampled_value(self, capsys):
         argv = ["estimate", "--shape", "target-inversions", "--k", "40960",
                 "--n", "1024"]
@@ -123,6 +128,14 @@ class TestBench:
             assert row["wall_ns"] == "0"
         ordered = [sum(v) / len(v) for _, v in sorted(means.items())]
         assert ordered == sorted(ordered)
+
+
+    @pytest.mark.parametrize("grid", [["--n", "10", "--kstar", "0,1000"],
+                                      ["--n", "-3", "--kstar", "0"],
+                                      ["--n", "10", "--kstar", "0,x"]])
+    def test_bad_grid_prints_nothing(self, capsys, grid):
+        code, out, err = run(capsys, ["bench", "--alg", "mergesort", *grid])
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestInputs:
@@ -182,6 +195,15 @@ class TestUsageErrors:
     def test_bench_capped_requires_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--alg", "capped", "--n", "100", "--kstar", "0"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "--cap" in err
+
+    @pytest.mark.parametrize("alg", [a for a in cli.ALGORITHMS if a != "capped"])
+    @pytest.mark.parametrize("argv", [["count", "--n", "10"],
+                                      ["bench", "--n", "10", "--kstar", "0"]])
+    def test_cap_only_with_capped(self, capsys, alg, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alg", alg, "--cap", "-5"])
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and "--cap" in err
 

@@ -101,6 +101,11 @@ class TestClassify:
             InstanceSpec(n, "random_permutation", seed=seed)))
         return red, blue, build_red_cutting(red, k, IoTally(PARAMS))
 
+    def test_empty_query_set(self):
+        _, _, cut = self._cutting()
+        assign = cut.classify_many(empty_set())
+        assert assign.dtype == np.int64 and assign.shape == (0,)
+
     def test_high_left_query_lands_in_first_cell(self):
         red, _, cut = self._cutting()
         q = Point(int(red.x[0]) - 1, float(red.y.max()) + 1.0, -1)
