@@ -129,7 +129,6 @@ class TestBench:
         ordered = [sum(v) / len(v) for _, v in sorted(means.items())]
         assert ordered == sorted(ordered)
 
-
     @pytest.mark.parametrize("grid", [["--n", "10", "--kstar", "0,1000"],
                                       ["--n", "-3", "--kstar", "0"],
                                       ["--n", "10", "--kstar", "0,x"]])
