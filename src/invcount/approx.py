@@ -89,6 +89,8 @@ class PairSampler:
 
     def count_hits(self, ri: np.ndarray, bi: np.ndarray) -> int:
         """How many of the drawn pairs are domination pairs."""
+        # Not core.dominance_mask: a call holds all six gathers at once,
+        # which raised estimate-dense peak RSS by about 4 MB.
         dom = (self.bx[bi] > self.rx[ri]) & ykey_less(
             self.by[bi], self.bt[bi], self.ry[ri], self.rt[ri])
         return int(np.count_nonzero(dom))

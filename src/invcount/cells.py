@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet, brute_force_count, dominance_mask
+from .core import PointSet, dominance_mask
 from .cuttings import build_blue_cutting, build_red_cutting
 from .iomodel import IoTally
 
@@ -144,11 +144,11 @@ class CellAudit:
 
 
 def _cell_pairs(cell: Cell) -> np.ndarray:
-    """Domination pairs of one cell: (red, blue) tiebreak ids, one per column."""
+    """One column (red x, blue x) per domination pair; x is unique per color."""
     r, b = cell.red, cell.blue
     bi, ri = np.nonzero(dominance_mask(
         b.x[:, None], b.y[:, None], b.tiebreak[:, None], r.x, r.y, r.tiebreak))
-    return np.stack([r.tiebreak[ri], b.tiebreak[bi]])
+    return np.stack([r.x[ri], b.x[bi]])
 
 
 def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudit:
@@ -163,10 +163,10 @@ def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudi
 
     found = [_cell_pairs(c) for c in result.cells]
     total = sum(f.shape[1] for f in found)
-    # One sort by (red, blue) id puts the found copies of each pair next
+    # One sort by (red x, blue x) puts the found copies of each pair next
     # to its true copy, if any.
-    pairs = np.concatenate(found + [_cell_pairs(Cell(red=red, blue=blue))],
-                           axis=1)
+    true = _cell_pairs(Cell(red=red, blue=blue))
+    pairs = np.concatenate(found + [true], axis=1)
     order = np.lexsort(pairs[::-1])
     pairs = pairs[:, order]
     head = np.ones(pairs.shape[1], dtype=bool)
@@ -176,7 +176,7 @@ def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudi
     heads = pairs[:, head].T
     duplicates = list(map(tuple, heads[n_found > 1].tolist()))
     missing = list(map(tuple, heads[n_found == 0].tolist()))
-    expected = brute_force_count(red, blue)
+    expected = true.shape[1]
 
     small_side = max(
         (min(len(c.red), len(c.blue)) / (1 << c.level) for c in result.cells),

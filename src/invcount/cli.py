@@ -33,7 +33,6 @@ ALGORITHMS = ("brute", "mergesort", "nonadaptive", "capped", "adaptive",
 class InputParseError(Exception):
     def __init__(self, line_no: int, text: str):
         super().__init__(f"line {line_no}: cannot parse value {text!r}")
-        self.line_no = line_no
 
 
 def _holds_exactly(text: str, v: float) -> bool:
@@ -201,6 +200,15 @@ def _add_common(p):
                    help="include wall time in the report (breaks byte-determinism)")
 
 
+def _add_counter_options(p):
+    p.add_argument("--alg", choices=ALGORITHMS, default="adaptive")
+    p.add_argument("--mem", type=int, default=2048,
+                   help="memory size M in words")
+    p.add_argument("--block", type=int, default=32,
+                   help="block size B in words")
+    p.add_argument("--cap", type=int, help="cap K for the capped algorithm")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invcount",
@@ -209,13 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="run an exact counter")
     _add_common(p_count)
-    p_count.add_argument("--alg", choices=ALGORITHMS, default="adaptive")
-    p_count.add_argument("--mem", type=int, default=2048,
-                         help="memory size M in words")
-    p_count.add_argument("--block", type=int, default=32,
-                         help="block size B in words")
-    p_count.add_argument("--cap", type=int, default=None,
-                         help="cap K for the capped algorithm")
+    _add_counter_options(p_count)
     p_count.add_argument("--verify", action="store_true",
                          help="cross-check against the brute-force oracle")
     p_count.set_defaults(func=cmd_count)
@@ -225,15 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_bench = sub.add_parser("bench", help="sweep a benchmark grid, emit CSV")
-    p_bench.add_argument("--alg", choices=ALGORITHMS, default="adaptive")
+    _add_counter_options(p_bench)
     p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--mem", type=int, default=2048)
-    p_bench.add_argument("--block", type=int, default=32)
     p_bench.add_argument("--kstar", required=True,
                          help="comma-separated target inversion counts")
     p_bench.add_argument("--seeds", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--cap", type=int, default=None)
     p_bench.add_argument("--timing", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
     return parser

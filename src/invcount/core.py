@@ -47,7 +47,7 @@ def dominates(b: Point, r: Point) -> bool:
     Equal values therefore never dominate, matching the strict ``>`` in
     the inversion definition.
     """
-    return b.x > r.x and (b.y, b.tiebreak) < (r.y, r.tiebreak)
+    return bool(dominance_mask(*b, *r))
 
 
 def ykey_less(y1, t1, y2, t2):
@@ -108,8 +108,8 @@ class PointSet:
     def point(self, i: int) -> Point:
         return Point(int(self.x[i]), float(self.y[i]), int(self.tiebreak[i]))
 
-    def _take(self, idx: np.ndarray) -> "PointSet":
-        """Subset by an ascending ``intp`` index array, without the checks.
+    def _take(self, idx) -> "PointSet":
+        """Subset by an ascending index array or a slice, without the checks.
 
         An ascending index keeps the x order, and the arrays are already
         checked and cast, so the subset skips ``__post_init__``: only
@@ -124,10 +124,10 @@ class PointSet:
 
     def split(self, labels: np.ndarray, k: int) -> list["PointSet"]:
         """Subset ``j`` for each label ``j`` in ``range(k)``, in x order
-        (empty where no point has the label)."""
-        order = np.argsort(labels, kind="stable")
+        (empty where no point has the label): one gather, then views."""
+        grouped = self._take(np.argsort(labels, kind="stable"))
         ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-        return [self._take(order[a:b]) for a, b in zip([0] + ends, ends)]
+        return [grouped._take(slice(a, b)) for a, b in zip([0] + ends, ends)]
 
 
 def reduce_inversions(values) -> tuple[PointSet, PointSet]:

@@ -50,20 +50,16 @@ def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
     """Exact domination-pair count in O(n log n) comparisons.
 
     Used as the comparison-model leaf solver; independent of the
-    distribution-based recursion.  Both colors are merged by x, blue before
-    red on equal x so that equal-x pairs (never dominating) cannot count;
-    the domination pairs are then the red-blue position inversions under
-    the ``(y, tiebreak)`` key, which ``core.count_position_inversions``
-    counts in ``ceil(log2 n)`` passes.
+    distribution-based recursion.  A stable sort of x, blue concatenated
+    first, merges the colors with blue first on equal x, so equal-x pairs
+    (never dominating) cannot count; the domination pairs are then the
+    red-blue position inversions under the ``(y, tiebreak)`` key, which
+    ``core.count_position_inversions`` counts in ``ceil(log2 n)`` passes.
     """
-    nr, nb = len(red), len(blue)
-    if nr == 0 or nb == 0:
-        return 0
-    is_red = np.concatenate([np.ones(nr, dtype=bool), np.zeros(nb, dtype=bool)])
-    by_x = np.lexsort((is_red, np.concatenate([red.x, blue.x])))
-    y = np.concatenate([red.y, blue.y])[by_x]
-    t = np.concatenate([red.tiebreak, blue.tiebreak])[by_x]
-    is_red = is_red[by_x]
+    by_x = np.argsort(np.concatenate([blue.x, red.x]), kind="stable")
+    y = np.concatenate([blue.y, red.y])[by_x]
+    t = np.concatenate([blue.tiebreak, red.tiebreak])[by_x]
+    is_red = by_x >= len(blue)
     return count_position_inversions(np.lexsort((t, y)), is_red, ~is_red)
 
 
@@ -96,10 +92,9 @@ def _chunk_labels(red: PointSet, blue: PointSet,
         # side keys at or below its own, through the end of the key's run.
         y, t = y[order], t[order]
         tie = (y[1:] == y[:-1]) & (t[1:] == t[:-1])
-        if np.any(tie & s[1:] & s[:-1]):  # side points of one key are adjacent
-            le = np.where(np.append(~tie, True), through, ns)
-            le = np.minimum.accumulate(le[::-1])[::-1]
-            rank = np.where(s, rank, np.maximum(rank, le - 1))
+        le = np.where(np.append(~tie, True), through, ns)
+        le = np.minimum.accumulate(le[::-1])[::-1]
+        rank = np.where(s, rank, np.maximum(rank, le - 1))
     labels = np.empty_like(rank)
     labels[order] = np.searchsorted(np.arange(f) * ns // f, rank, side="right") - 1
     return labels[:nr], labels[nr:]

@@ -14,7 +14,9 @@ the orientation:
 A query point that lies inside some cell covers fewer than ``2k`` base
 points ("shallow"); a query covering at least ``k`` base points that lies
 in no cell is "deep".  Any point covering fewer than ``k`` base points is
-guaranteed to land in a cell.
+guaranteed to land in a cell.  These bounds assume distinct keys within
+the base, as ``reduce_inversions`` gives: a corner also covers the tied
+copies of its floor point that the sweep dropped.
 
 Corner coordinates sit strictly between adjacent base coordinates in the
 strict total order (half-integer x, half-step tiebreak in y), so no query
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet, ykey_less
+from .core import PointSet, dominance_mask, ykey_less
 from .iomodel import IoTally
 
 _INF = float("inf")
@@ -110,7 +112,7 @@ class StaircaseCutting:
         """Whether corner ``ci`` covers the point(s) with given coordinates."""
         tx, ty, tt = self._transform(x, y, t)
         cx, cy, ct = self._transform(*self.outward[ci])
-        return (tx < cx) & ykey_less(cy, ct, ty, tt)
+        return dominance_mask(cx, cy, ct, tx, ty, tt)
 
     def classify_many(self, pts: PointSet) -> np.ndarray:
         """Cell index for each shallow point, -1 for deep points.

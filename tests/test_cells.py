@@ -11,7 +11,8 @@ from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       audit_cells, brute_force_count, build_cells,
                       count_capped, dominates, generate, mergesort_count,
                       reduce_inversions)
-from invcount.cells import Cell
+from invcount.cells import Cell, RedBlueCells
+from invcount.core import PointSet
 
 
 def build(values, cap):
@@ -125,6 +126,16 @@ class TestAudit:
         assert audit.missing_pairs == sorted(set(pairs(red, blue)) - set(seen))
         assert audit.duplicate_pairs and audit.missing_pairs
         assert audit.total_pairs == sum(seen.values())
+
+    def test_repeated_tiebreak_is_not_a_duplicate(self):
+        # Two reds share tiebreak 0; each of the two pairs is found once.
+        red = PointSet([0, 1], [5.0, 6.0], [0, 0])
+        blue = PointSet([2], [1.0], [0], "blue")
+        for family in (RedBlueCells(cap=4, cells=[Cell(red, blue)]),
+                       build_cells(red, blue, 4, IoTally(RAM_PARAMS))):
+            audit = audit_cells(family, red, blue)
+            assert audit.ok and audit.duplicate_pairs == []
+            assert audit.total_pairs == audit.expected_pairs == 2
 
     def test_audit_refuses_failed_build(self):
         red, blue, built = build(generate(InstanceSpec(256, "reverse")), 256)

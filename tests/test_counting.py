@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcount import (EmParams, InstanceSpec, IoTally, brute_force_count,
+from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
+                      audit_cells, brute_force_count, build_cells,
                       cap_schedule, count_adaptive, count_adaptive_ram,
                       count_capped, count_capped_ram, count_nonadaptive,
                       generate, merge_count_dominance, ram_cap_schedule,
                       reduce_inversions)
+from invcount.cells import STOP_SIZE
 from invcount.core import PointSet
 
 PARAMS = EmParams(2048, 32)
@@ -35,6 +37,14 @@ def random_points(rng, n, color, span):
     x = np.sort(rng.choice(span, size=n, replace=False))
     return PointSet(x, rng.integers(0, 5, n).astype(np.float64),
                     rng.integers(0, 3, n), color)
+
+
+def tied_points(rng, color):
+    """64-260 points sharing x with the other color, few distinct keys."""
+    n = int(rng.integers(STOP_SIZE, 261))
+    x = np.sort(rng.choice(300, size=n, replace=False))
+    y = rng.integers(0, rng.integers(1, 12), n).astype(np.float64)
+    return PointSet(x, y, rng.integers(0, rng.integers(1, 5), n), color)
 
 
 class TestMergeLeaf:
@@ -197,6 +207,28 @@ class TestTiedKeys:
                 assert got == kstar
             else:
                 assert got is None or got == kstar
+
+
+    def test_cells_above_stop_size(self):
+        # colored_points stays below STOP_SIZE, where build_cells makes one
+        # leaf cell; these sets are cut by staircases over tied keys.
+        rng = np.random.default_rng(11)
+        all_params = [EmParams(8, 1), EmParams(64, 2), EmParams(1024, 32)]
+        builds = 0
+        for _ in range(100):
+            red, blue = (tied_points(rng, color) for color in ("red", "blue"))
+            kstar = brute_force_count(red, blue)
+            for cap in {1, max(1, kstar), max(1, 2 * kstar), 4 * len(red)}:
+                got = [count_capped(red, blue, cap, p, IoTally(p))
+                       for p in all_params]
+                got.append(count_capped_ram(red, blue, cap))
+                assert all(g == kstar or (g is None and kstar > cap)
+                           for g in got), (cap, kstar, got)
+                built = build_cells(red, blue, cap, IoTally(RAM_PARAMS))
+                if not built.failed:
+                    builds += 1
+                    assert audit_cells(built, red, blue).ok
+        assert builds >= 100
 
 
 class TestSchedules:
