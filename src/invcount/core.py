@@ -124,7 +124,8 @@ class PointSet:
 
     def split(self, labels: np.ndarray, k: int) -> list["PointSet"]:
         """Subset ``j`` for each label ``j`` in ``range(k)``, in x order
-        (empty where no point has the label): one gather, then views."""
+        (empty where no point has the label).  One gather in label order,
+        x-sorted within each label, then a view per label."""
         grouped = self._take(np.argsort(labels, kind="stable"))
         ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
         return [grouped._take(slice(a, b)) for a, b in zip([0] + ends, ends)]

@@ -15,8 +15,8 @@ A query point that lies inside some cell covers fewer than ``2k`` base
 points ("shallow"); a query covering at least ``k`` base points that lies
 in no cell is "deep".  Any point covering fewer than ``k`` base points is
 guaranteed to land in a cell.  These bounds assume distinct keys within
-the base, as ``reduce_inversions`` gives: a corner also covers the tied
-copies of its floor point that the sweep dropped.
+the base, as ``reduce_inversions`` gives; over repeated keys a corner also
+covers the tied copies of its floor point that the sweep dropped.
 
 Corner coordinates sit strictly between adjacent base coordinates in the
 strict total order (half-integer x, half-step tiebreak in y), so no query
