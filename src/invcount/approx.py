@@ -62,20 +62,19 @@ class PairSampler:
     """
 
     def __init__(self, cells: RedBlueCells):
-        live = [c for c in cells.cells if c.weight > 0]
-        self.cum = np.cumsum([c.weight for c in live], dtype=np.int64)
+        sizes = np.array([(len(c.red), len(c.blue)) for c in cells.cells],
+                         dtype=np.int64).reshape(-1, 2)
+        keep = sizes.all(axis=1)
+        live = [c for c, k in zip(cells.cells, keep.tolist()) if k]
+        self.r_sizes, self.b_sizes = sizes[keep].T
+        self.cum = np.cumsum(self.r_sizes * self.b_sizes)
         self.total = int(self.cum[-1]) if len(live) else 0
-        self.r_sizes = np.array([len(c.red) for c in live], dtype=np.int64)
-        self.b_sizes = np.array([len(c.blue) for c in live], dtype=np.int64)
         self.r_offs = np.concatenate([[0], np.cumsum(self.r_sizes)])
         self.b_offs = np.concatenate([[0], np.cumsum(self.b_sizes)])
-
-        def _cat(attr, side):
-            arrs = [getattr(getattr(c, side), attr) for c in live]
-            return np.concatenate(arrs) if arrs else np.empty(0)
-
-        self.rx, self.ry, self.rt = (_cat(a, "red") for a in ("x", "y", "tiebreak"))
-        self.bx, self.by, self.bt = (_cat(a, "blue") for a in ("x", "y", "tiebreak"))
+        self.rx, self.ry, self.rt, self.bx, self.by, self.bt = (
+            np.concatenate([getattr(getattr(c, side), a) for c in live]
+                           or [np.empty(0)])
+            for side in ("red", "blue") for a in ("x", "y", "tiebreak"))
 
     def draw_many(self, rng: np.random.Generator, m: int):
         """Draw ``m`` pairs; returns flat indices (red, blue, cell)."""
@@ -89,11 +88,16 @@ class PairSampler:
 
     def count_hits(self, ri: np.ndarray, bi: np.ndarray) -> int:
         """How many of the drawn pairs are domination pairs."""
-        # Not core.dominance_mask: a call holds all six gathers at once,
-        # which raised estimate-dense peak RSS by about 4 MB.
-        dom = (self.bx[bi] > self.rx[ri]) & ykey_less(
-            self.by[bi], self.bt[bi], self.ry[ri], self.rt[ri])
-        return int(np.count_nonzero(dom))
+        return _count_dominating(self.rx, self.ry, self.rt,
+                                 self.bx, self.by, self.bt, ri, bi)
+
+
+def _count_dominating(rx, ry, rt, bx, by, bt, ri, bi) -> int:
+    """How many index pairs ``(ri, bi)`` pair a red with a dominating blue."""
+    # Not core.dominance_mask: a call holds all six gathers at once,
+    # which raised estimate-dense peak RSS by about 4 MB.
+    dom = (bx[bi] > rx[ri]) & ykey_less(by[bi], bt[bi], ry[ri], rt[ri])
+    return int(np.count_nonzero(dom))
 
 
 def _uniform_indices(red: PointSet, blue: PointSet, rng: np.random.Generator,
@@ -140,9 +144,8 @@ def estimate_inversions(values, seed: int) -> Estimate:
     else:
         space = n * n
         ri, bi = _uniform_indices(red, blue, rng, n)
-        dom = (blue.x[bi] > red.x[ri]) & ykey_less(
-            blue.y[bi], blue.tiebreak[bi], red.y[ri], red.tiebreak[ri])
-        hits = int(np.count_nonzero(dom))
+        hits = _count_dominating(red.x, red.y, red.tiebreak,
+                                 blue.x, blue.y, blue.tiebreak, ri, bi)
         regime, epsilon = REGIME_UNIFORM, n**-0.25
     return Estimate(value=hits * space / n, regime=regime, hits=hits,
                     sample_space=space, n_samples=n, epsilon_bound=epsilon)

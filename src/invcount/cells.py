@@ -163,17 +163,13 @@ def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudi
 
     found = [_cell_pairs(c) for c in result.cells]
     total = sum(f.shape[1] for f in found)
-    # One sort by (red x, blue x) puts the found copies of each pair next
-    # to its true copy, if any.
+    # Every distinct pair, found or true, sorted by (red x, blue x); the
+    # first ``total`` columns are the found copies.
     true = _cell_pairs(Cell(red=red, blue=blue))
-    pairs = np.concatenate(found + [true], axis=1)
-    order = np.lexsort(pairs[::-1])
-    pairs = pairs[:, order]
-    head = np.ones(pairs.shape[1], dtype=bool)
-    head[1:] = np.any(pairs[:, 1:] != pairs[:, :-1], axis=0)
-    n_found = np.bincount(np.cumsum(head)[order < total] - 1,
-                          minlength=int(head.sum()))
-    heads = pairs[:, head].T
+    heads, inv = np.unique(np.concatenate(found + [true], axis=1), axis=1,
+                           return_inverse=True)
+    n_found = np.bincount(inv[:total], minlength=heads.shape[1])
+    heads = heads.T
     duplicates = list(map(tuple, heads[n_found > 1].tolist()))
     missing = list(map(tuple, heads[n_found == 0].tolist()))
     expected = true.shape[1]

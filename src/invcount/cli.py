@@ -20,8 +20,8 @@ import numpy as np
 from . import instances
 from .approx import estimate_inversions
 from .core import brute_force_count, mergesort_count, reduce_inversions
-from .counting import (count_adaptive, count_adaptive_ram, count_capped,
-                       count_nonadaptive)
+from .counting import (AdaptiveCount, count_adaptive, count_adaptive_ram,
+                       count_capped, count_nonadaptive)
 from .iomodel import EmParams, IoTally
 
 EXIT_USAGE = 2
@@ -83,22 +83,24 @@ def _run_counter(alg: str, values: np.ndarray, params: EmParams, cap):
     """Returns (count, rounds, tally)."""
     tally = IoTally(params)
     red, blue = reduce_inversions(values)
-    if alg == "brute":
-        return brute_force_count(red, blue), 0, tally
-    if alg == "mergesort":
-        return mergesort_count(values), 0, tally
-    if alg == "nonadaptive":
-        return count_nonadaptive(red, blue, params, tally), 0, tally
-    if alg == "capped":
-        res = count_capped(red, blue, cap, params, tally)
-        return res, 0, tally
-    if alg == "adaptive":
-        res = count_adaptive(red, blue, params, tally)
+    res = {
+        "brute": lambda: brute_force_count(red, blue),
+        "mergesort": lambda: mergesort_count(values),
+        "nonadaptive": lambda: count_nonadaptive(red, blue, params, tally),
+        "capped": lambda: count_capped(red, blue, cap, params, tally),
+        "adaptive": lambda: count_adaptive(red, blue, params, tally),
+        "adaptive-ram": lambda: count_adaptive_ram(red, blue),
+    }[alg]()
+    if isinstance(res, AdaptiveCount):
         return res.count, res.rounds, tally
-    if alg == "adaptive-ram":
-        res = count_adaptive_ram(red, blue)
-        return res.count, res.rounds, tally
-    raise ValueError(f"unknown algorithm {alg!r}")
+    return res, 0, tally
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and its wall time in nanoseconds."""
+    started = time.perf_counter_ns()
+    out = fn(*args)
+    return out, time.perf_counter_ns() - started
 
 
 def _emit(report: dict) -> None:
@@ -111,9 +113,8 @@ def cmd_count(args) -> int:
         print("--verify requires n <= 2000", file=sys.stderr)
         return EXIT_USAGE
     params = EmParams(args.mem, args.block)
-    started = time.perf_counter_ns()
-    count, rounds, tally = _run_counter(args.alg, values, params, args.cap)
-    elapsed = time.perf_counter_ns() - started
+    (count, rounds, tally), elapsed = _timed(
+        _run_counter, args.alg, values, params, args.cap)
     report = {
         "command": "count",
         "algorithm": args.alg,
@@ -143,9 +144,7 @@ def cmd_count(args) -> int:
 
 def cmd_estimate(args) -> int:
     values, meta = _load_instance(args)
-    started = time.perf_counter_ns()
-    est = estimate_inversions(values, args.seed)
-    elapsed = time.perf_counter_ns() - started
+    est, elapsed = _timed(estimate_inversions, values, args.seed)
     report = {
         "command": "estimate",
         "instance": meta,
@@ -173,9 +172,8 @@ def cmd_bench(args) -> int:
             spec = instances.InstanceSpec(
                 n=args.n, shape="target_inversions", seed=seed, target=kstar)
             values = instances.generate(spec)
-            started = time.perf_counter_ns()
-            count, rounds, tally = _run_counter(args.alg, values, params, args.cap)
-            elapsed = time.perf_counter_ns() - started
+            (count, rounds, tally), elapsed = _timed(
+                _run_counter, args.alg, values, params, args.cap)
             rows.append([args.n, args.mem, args.block, kstar, args.alg,
                          seed, tally.reads, tally.writes, rounds,
                          elapsed if args.timing else 0])

@@ -58,24 +58,30 @@ def ykey_less(y1, t1, y2, t2):
 def _checked_values(values) -> np.ndarray:
     """An input list as a one-dimensional array of finite 64-bit floats.
 
-    Integer input must convert to float64 exactly; a value that would be
-    rounded (possible only from ``2**53`` on) is rejected rather
-    than silently changing the count.
+    Anything but a real array of at most 64 bits becomes an object array,
+    so numpy rounds nothing before the check.  Every value must equal its
+    float64 exactly: a large integer, a fraction, a decimal, a string or a
+    complex number is rejected rather than silently changing the count.
     """
-    raw = np.asarray(values)
-    vals = np.asarray(raw, dtype=np.float64)
-    if vals.ndim != 1:
+    inexact = "value list must hold numbers that float64 holds exactly"
+    native = (isinstance(values, np.ndarray) and values.dtype.kind in "bf"
+              and values.dtype.itemsize <= 8)
+    raw = values if native else np.array(values, dtype=object)
+    if raw.ndim != 1:
         raise ValueError("value list must be one-dimensional")
-    if len(vals) > MAX_LENGTH:
+    if len(raw) > MAX_LENGTH:
         raise ValueError(f"value list longer than {MAX_LENGTH}")
-    if len(vals) and not np.all(np.isfinite(vals)):
+    try:
+        vals = np.asarray(raw, dtype=np.float64)
+    except TypeError:  # a complex value
+        raise ValueError(inexact) from None
+    if not np.all(np.isfinite(vals)):
         raise ValueError("value list must contain only finite numbers")
-    if raw.dtype.kind in "iuO":
-        # Integers of smaller magnitude are exact in a float64.
-        big = np.abs(vals) >= 2.0**53
-        for v, f in zip(raw[big].tolist(), vals[big].tolist()):
-            if isinstance(v, (int, np.integer)) and int(v) != f:
-                raise ValueError(f"integer {v} has no exact float64 value")
+    # Python compares int, Fraction and Decimal with a float exactly.
+    if raw.dtype == object and not all(
+            (int(v) if isinstance(v, np.integer) else v) == f
+            for v, f in zip(raw.tolist(), vals.tolist())):
+        raise ValueError(inexact)
     return vals
 
 
@@ -89,11 +95,16 @@ class PointSet:
     color: str = "red"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
+        with np.errstate(invalid="ignore"):  # a NaN x is rejected below
+            x = np.asarray(self.x, dtype=np.int64)
+            t = np.asarray(self.tiebreak, dtype=np.int64)
         y = np.asarray(self.y, dtype=np.float64)
-        t = np.asarray(self.tiebreak, dtype=np.int64)
         if not (len(x) == len(y) == len(t)):
             raise ValueError("coordinate arrays must have equal length")
+        if not (np.array_equal(x, self.x) and np.array_equal(t, self.tiebreak)):
+            raise ValueError("x and tiebreak must be integers that int64 holds")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y coordinates must be finite")
         if len(x) > 1 and not np.all(np.diff(x) > 0):
             raise ValueError("x coordinates must be strictly increasing")
         if self.color not in ("red", "blue"):

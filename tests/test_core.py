@@ -1,5 +1,8 @@
 """Domain types, the reduction, and the two reference counters."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,12 @@ class TestValidation:
         np.array([2**53 + 1, 2**53], dtype=np.int64),
         np.array([2**64 - 1, 0], dtype=np.uint64),
         [-(2**60) - 1, 0],
+        # A list is not converted to float64 before the check.
+        [2**53 + 1, 2**53, 0.5],
+        ["9007199254740993", "9007199254740992"],
+        [Decimal("9007199254740993"), Decimal("9007199254740992")],
+        [Fraction(1, 3) + Fraction(1, 10**20), Fraction(1, 3)],
+        np.array([1 + 5j, 1 + 0j]),
     ])
     @pytest.mark.parametrize("counter", [
         mergesort_count, reduce_inversions,
@@ -150,6 +159,15 @@ class TestValidation:
     def test_point_set_requires_ascending_x(self):
         with pytest.raises(ValueError):
             PointSet(np.array([2, 1]), np.array([0.0, 0.0]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("x, y, t", [
+        ([0, 1, 2], [1.0, np.nan, 0.5], [0, 1, 2]),
+        ([1.2], [5.0], [0]),
+        ([0, 1], [5.0, 1.0], [0.9, 1.2]),
+    ], ids=["nan-y", "fractional-x", "fractional-tiebreak"])
+    def test_point_set_rejects_lossy_coordinates(self, x, y, t):
+        with pytest.raises(ValueError):
+            PointSet(np.array(x), np.array(y), np.array(t))
 
     def test_point_set_rejects_unknown_color(self):
         with pytest.raises(ValueError):
