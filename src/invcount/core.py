@@ -77,7 +77,8 @@ def _checked_values(values) -> np.ndarray:
         raise ValueError(inexact) from None
     if not np.all(np.isfinite(vals)):
         raise ValueError("value list must contain only finite numbers")
-    # Python compares int, Fraction and Decimal with a float exactly.
+    # Python compares int, Fraction and Decimal with a float exactly; a
+    # numpy integer would be compared as a float64, so it becomes an int.
     if raw.dtype == object and not all(
             (int(v) if isinstance(v, np.integer) else v) == f
             for v, f in zip(raw.tolist(), vals.tolist())):
