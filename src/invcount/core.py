@@ -14,7 +14,7 @@ use the lexicographic key ``(value, tiebreak)``, which is a strict total
 order.
 
 Two reference counters live here: an exhaustive O(n^2) enumeration and an
-O(n log n) counter that runs the level-by-level position-inversion kernel,
+O(n log^2 n) counter that runs the level-by-level position-inversion kernel,
 ``count_position_inversions``, which also lives here; the comparison-model
 counters of ``counting`` run the same kernel.  Everything else in the
 package is tested against the two reference counters.
@@ -96,16 +96,21 @@ class PointSet:
     color: str = "red"
 
     def __post_init__(self):
-        with np.errstate(invalid="ignore"):  # a NaN x is rejected below
-            x = np.asarray(self.x, dtype=np.int64)
-            t = np.asarray(self.tiebreak, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.float64)
+        # Cuttings place corners at x midpoints and tiebreak half-steps in
+        # float64, which holds those exactly only inside (-2**52, 2**52).
+        bounded = "x and tiebreak must be integers inside (-2**52, 2**52)"
+        try:
+            with np.errstate(invalid="ignore"):  # a NaN x is rejected below
+                x = np.asarray(self.x, dtype=np.int64)
+                t = np.asarray(self.tiebreak, dtype=np.int64)
+        except OverflowError:  # a Python int beyond int64
+            raise ValueError(bounded) from None
+        y = _checked_values(self.y)
         if not (len(x) == len(y) == len(t)):
             raise ValueError("coordinate arrays must have equal length")
-        if not (np.array_equal(x, self.x) and np.array_equal(t, self.tiebreak)):
-            raise ValueError("x and tiebreak must be integers that int64 holds")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y coordinates must be finite")
+        if not (np.array_equal(x, self.x) and np.array_equal(t, self.tiebreak)
+                and all(np.all((c > -2**52) & (c < 2**52)) for c in (x, t))):
+            raise ValueError(bounded)
         if len(x) > 1 and not np.all(np.diff(x) > 0):
             raise ValueError("x coordinates must be strictly increasing")
         if self.color not in ("red", "blue"):
@@ -198,16 +203,16 @@ def count_position_inversions(order: np.ndarray, red: np.ndarray,
     positions.  The kernel makes one vectorized pass per bit, from the top
     bit down.  Each pass sees the entries grouped by block, in key order
     within a block, so every right-half blue finds the left-half reds above
-    its key in one running sum; a stable split of every block into its two
-    halves then gives the grouping for the next bit.  After the sort that
-    produced ``order``, each of the ``ceil(log2 n)`` passes is linear, so
-    the whole count takes O(n log n) comparisons.  Indices and running sums
-    stay below ``n`` and one pass counts fewer than ``n**2 / 4`` pairs, so
-    int64 holds every intermediate for ``n`` up to ``MAX_LENGTH``.
+    its key in one running sum.  A stable sort by ``pos >> lev`` then puts
+    each block's left half first, both halves still in key order: the
+    grouping for the next bit.  That sort (numpy's timsort on int64 keys
+    already grouped by block) takes O(n log n) comparisons, so after the
+    sort that produced ``order`` the count takes O(n log^2 n).  Indices and
+    running sums stay below ``n`` and one pass counts fewer than ``n**2 / 4``
+    pairs, so int64 holds every intermediate for ``n`` up to ``MAX_LENGTH``.
     """
     n = len(order)
     pos, is_red, is_blue = order, red[order], blue[order]
-    idx = np.arange(n)
     total = 0
     for lev in reversed(range((n - 1).bit_length())):
         half = 1 << lev
@@ -220,23 +225,15 @@ def count_position_inversions(order: np.ndarray, red: np.ndarray,
         last = np.minimum(start[k] + 2 * half, n) - 1
         total += int((reds[last] - reds[k]).sum())
         if lev:
-            # Stable split: each block's left half first, both halves in
-            # key order.  ``lefts`` counts the left-half entries before an
-            # index within its block.
-            lefts = np.cumsum(~right) - ~right
-            lefts -= lefts[start]
-            dest = np.where(right, idx + np.minimum(half, n - start) - lefts,
-                            start + lefts)
-            perm = np.empty(n, dtype=np.intp)
-            perm[dest] = idx
+            perm = np.argsort(pos >> lev, kind="stable")
             pos, is_red, is_blue = pos[perm], is_red[perm], is_blue[perm]
     return total
 
 
 def mergesort_count(values) -> int:
-    """Count inversions of a list in O(n log n) comparisons.
+    """Count inversions of a list in O(n log^2 n) comparisons.
 
-    One stable sort, then the ``ceil(log2 n)`` linear passes of
+    One stable sort, then the ``ceil(log2 n)`` passes of
     :func:`count_position_inversions` with every element both red and
     blue; the stable sort keeps equal values in position order, so they
     never invert.

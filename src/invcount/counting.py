@@ -27,8 +27,9 @@ last round, so the I/O count adapts to the true number of pairs.
 The comparison/RAM-model rounds (``count_capped_ram``, and
 ``count_adaptive_ram`` over ``ram_cap_schedule``) count each cell with
 ``merge_count_dominance`` instead: one O(n log n) sort, then the
-``ceil(log2 n)`` linear vectorized passes of the position-inversion kernel,
-which lives in ``core`` beside ``core.mergesort_count``, its other user.
+``ceil(log2 n)`` vectorized passes of the position-inversion kernel, each
+ending in one stable sort, so O(n log^2 n) comparisons in all.  The kernel
+lives in ``core`` beside ``core.mergesort_count``, its other user.
 Only the I/O-model counters reach the distribution recursion.
 """
 
@@ -47,7 +48,7 @@ from .iomodel import EmParams, IoTally, RAM_PARAMS
 
 
 def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
-    """Exact domination-pair count in O(n log n) comparisons.
+    """Exact domination-pair count in O(n log^2 n) comparisons.
 
     Used as the comparison-model leaf solver; independent of the
     distribution-based recursion.  A stable sort of x, blue concatenated

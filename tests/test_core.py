@@ -164,10 +164,40 @@ class TestValidation:
         ([0, 1, 2], [1.0, np.nan, 0.5], [0, 1, 2]),
         ([1.2], [5.0], [0]),
         ([0, 1], [5.0, 1.0], [0.9, 1.2]),
-    ], ids=["nan-y", "fractional-x", "fractional-tiebreak"])
+        ([0], [2**53 + 1], [0]),
+    ], ids=["nan-y", "fractional-x", "fractional-tiebreak", "inexact-y"])
     def test_point_set_rejects_lossy_coordinates(self, x, y, t):
         with pytest.raises(ValueError):
             PointSet(np.array(x), np.array(y), np.array(t))
+
+    @pytest.mark.parametrize("x, t", [
+        ([2**52], [0]),
+        ([-(2**52)], [0]),
+        ([0], [2**52]),
+        ([0], [-(2**52)]),
+        ([2**62], [0]),
+        ([0], [np.iinfo(np.int64).min]),
+        ([2**70], [0]),
+    ], ids=["x-2^52", "x-minus-2^52", "t-2^52", "t-minus-2^52", "x-2^62",
+            "t-int64-min", "x-beyond-int64"])
+    def test_point_set_rejects_coordinates_beyond_2_52(self, x, t):
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            PointSet(x, [0.0], t)
+
+    def test_point_set_accepts_coordinates_inside_2_52(self):
+        edge = [-(2**52) + 1, 2**52 - 1]
+        pts = PointSet(edge, [0.0, 1.0], edge[::-1])
+        assert pts.x.tolist() == edge and pts.tiebreak.tolist() == edge[::-1]
+
+    def test_point_set_requires_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PointSet([0, 1], [0.0], [0, 1])
+
+    def test_value_list_longer_than_max_length_rejected(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_LENGTH", 3)
+        assert mergesort_count([2.0, 1.0, 0.0]) == 3
+        with pytest.raises(ValueError, match="longer"):
+            mergesort_count([3.0, 2.0, 1.0, 0.0])
 
     def test_point_set_rejects_unknown_color(self):
         with pytest.raises(ValueError):

@@ -3,15 +3,16 @@
 Values come from signed zeros, the largest and smallest magnitudes and
 ``±1.0``, alone and mixed with huge random reals.  Sizes sit at and around
 ``STOP_SIZE`` (64) and its doubling, and ``(M, B)`` pairs include the
-memory ratios where the counting scan's streams exceed ``M / (2B)``.
+memory ratios where the counting scan's streams exceed ``M / (2B)``.  x
+and tiebreak coordinates also sit next to ``PointSet``'s ``±2**52`` bound.
 """
 
 import numpy as np
 import pytest
 
-from invcount import (EmParams, IoTally, brute_force_count, count_adaptive,
-                      count_adaptive_ram, count_capped, count_capped_ram,
-                      count_nonadaptive, estimate_inversions,
+from invcount import (EmParams, IoTally, PointSet, brute_force_count,
+                      count_adaptive, count_adaptive_ram, count_capped,
+                      count_capped_ram, count_nonadaptive, estimate_inversions,
                       merge_count_dominance, mergesort_count,
                       reduce_inversions)
 from invcount.approx import REGIME_EXACT
@@ -62,3 +63,22 @@ def test_every_counter_matches_brute(n, mixed):
         if est.regime == REGIME_EXACT:
             assert est.value == kstar
 
+
+
+@pytest.mark.parametrize("offset", [2**52 - 400, -(2**52) + 1])
+def test_every_counter_matches_brute_next_to_the_coordinate_bound(offset):
+    rng = np.random.default_rng(abs(offset) % 1000)
+    x = np.arange(200) + offset
+    lists = [np.arange(199, -1, -1.0)]
+    lists += [rng.permutation(200).astype(np.float64) for _ in range(4)]
+    params = EmParams(1024, 32)
+    for values in lists:
+        red, blue = PointSet(x, values, x), PointSet(x, values, x, "blue")
+        kstar = mergesort_count(values)
+        assert brute_force_count(red, blue) == kstar
+        assert merge_count_dominance(red, blue) == kstar
+        assert count_adaptive_ram(red, blue).count == kstar
+        assert count_capped_ram(red, blue, kstar) == kstar
+        assert count_nonadaptive(red, blue, params, IoTally(params)) == kstar
+        assert count_adaptive(red, blue, params, IoTally(params)).count == kstar
+        assert count_capped(red, blue, kstar, params, IoTally(params)) == kstar

@@ -76,6 +76,7 @@ class TestInversionTables:
         perm = decode_inversion_table(table)
         assert mergesort_count(perm) == k
         assert sorted(perm) == list(range(n))
+        assert [int(np.sum(perm[i + 1:] < perm[i])) for i in range(n)] == table
 
     def test_generate_hits_exact_targets(self):
         for k in (0, 1, 100, 4950):
