@@ -64,7 +64,6 @@ def test_every_counter_matches_brute(n, mixed):
             assert est.value == kstar
 
 
-
 @pytest.mark.parametrize("offset", [2**52 - 400, -(2**52) + 1])
 def test_every_counter_matches_brute_next_to_the_coordinate_bound(offset):
     rng = np.random.default_rng(abs(offset) % 1000)
