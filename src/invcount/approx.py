@@ -64,15 +64,15 @@ class PairSampler:
     def __init__(self, cells: RedBlueCells):
         sizes = np.array([(len(c.red), len(c.blue)) for c in cells.cells],
                          dtype=np.int64).reshape(-1, 2)
-        keep = sizes.all(axis=1)
-        live = [c for c, k in zip(cells.cells, keep.tolist()) if k]
-        self.r_sizes, self.b_sizes = sizes[keep].T
+        self.r_sizes, self.b_sizes = sizes.T
+        # A cell with an empty side adds nothing to ``cum``, so
+        # ``searchsorted(cum, u, "right")`` never draws it.
         self.cum = np.cumsum(self.r_sizes * self.b_sizes)
-        self.total = int(self.cum[-1]) if len(live) else 0
+        self.total = int(self.cum[-1]) if len(self.cum) else 0
         self.r_offs = np.concatenate([[0], np.cumsum(self.r_sizes)])
         self.b_offs = np.concatenate([[0], np.cumsum(self.b_sizes)])
         self.rx, self.ry, self.rt, self.bx, self.by, self.bt = (
-            np.concatenate([getattr(getattr(c, side), a) for c in live]
+            np.concatenate([getattr(getattr(c, side), a) for c in cells.cells]
                            or [np.empty(0)])
             for side in ("red", "blue") for a in ("x", "y", "tiebreak"))
 

@@ -45,10 +45,6 @@ class Cell:
     blue: PointSet
     level: int = 0
 
-    @property
-    def weight(self) -> int:
-        return len(self.red) * len(self.blue)
-
 
 @dataclass
 class RedBlueCells:
@@ -77,10 +73,10 @@ def _half_level(build, base: PointSet, others: PointSet, depth: int, n0: int,
         return None
     cut.charge_corners(tally)
     tally.charge_write(len(others) - n_deep)
-    deep, *groups = others.split(assign + 1, cut.n_cells + 1)
+    deep, *groups = others.split(assign + 1, len(cut.cells) + 1)
     for ci, members in enumerate(groups):
         if len(members):
-            host = cut.cell_points(ci)
+            host = base._take(cut.cells[ci])
             tally.charge_write(len(host))
             pair = (host, members) if cut.orientation == "red" else (members, host)
             out.append(Cell(*pair, level=level))
@@ -93,9 +89,6 @@ def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedB
         raise ValueError("cap must be at least 1")
     n0 = max(len(red), len(blue))
     result = RedBlueCells(cap=cap)
-    if n0 == 0:
-        return result
-
     cur_red, cur_blue = red, blue
     level = 0
     while True:

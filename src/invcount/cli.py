@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -36,11 +37,9 @@ class InputParseError(Exception):
 
 
 def _holds_exactly(text: str, v: float) -> bool:
-    """False for an integer literal that float64 ``v`` does not equal."""
-    try:
-        return int(text) == v
-    except ValueError:
-        return True
+    """False for an integral value, in any notation, that float64 ``v`` does not equal."""
+    d = Decimal(text)
+    return d != d.to_integral_value() or d == Decimal(v)
 
 
 def read_values(stream) -> np.ndarray:
@@ -52,9 +51,10 @@ def read_values(stream) -> np.ndarray:
             continue
         try:
             v = float(text)
-        except ValueError:
-            raise InputParseError(line_no, text) from None
-        if not np.isfinite(v) or not _holds_exactly(text, v):
+            exact = np.isfinite(v) and _holds_exactly(text, v)
+        except (ValueError, InvalidOperation):
+            exact = False
+        if not exact:
             raise InputParseError(line_no, text)
         values.append(v)
     return np.array(values, dtype=np.float64)

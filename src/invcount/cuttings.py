@@ -87,7 +87,7 @@ def _sweep(rank: list[int], k: int):
 
 @dataclass
 class StaircaseCutting:
-    """A constructed staircase with per-cell membership lists.
+    """A constructed staircase with the ascending base indices of each cell.
 
     Corners are stored in sweep order, which is ascending x for the red
     orientation and descending x for the blue orientation.
@@ -95,13 +95,8 @@ class StaircaseCutting:
 
     orientation: str
     k: int
-    base: PointSet
     outward: np.ndarray        # shape (t, 3): x, y, y-tiebreak
     cells: list[np.ndarray] = field(repr=False)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
 
     def _transform(self, *coords):
         """Red-oriented float coordinates (negated for the blue orientation)."""
@@ -129,9 +124,6 @@ class StaircaseCutting:
         """Charge the writes that materialize the outward and inward corners."""
         tally.charge_write(2 * len(self.outward) - 1, width=CORNER_WIDTH)
 
-    def cell_points(self, ci: int) -> PointSet:
-        return self.base._take(self.cells[ci])
-
 
 def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> StaircaseCutting:
     n = len(base)
@@ -146,10 +138,9 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
     cuts, floors, cells = _sweep(rank.tolist(), k)
 
     cuts = np.array(cuts, dtype=np.intp)
-    after = np.minimum(cuts, n - 1)
-    mid = np.where(cuts < n, (x[cuts - 1] + x[after]) / 2.0, x[cuts - 1] + 0.5)
+    xs = np.append(x, x[-1:] + 1)  # a cut past the last point sits at +0.5
     outward = np.column_stack((
-        np.append(mid, _INF),
+        np.append((xs[cuts - 1] + xs[cuts]) / 2.0, _INF),
         np.insert(y[floors], 0, -_INF),
         np.insert(t[floors] - 0.5, 0, 0.0),
     ))
@@ -164,7 +155,6 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
     return StaircaseCutting(
         orientation=orientation,
         k=k,
-        base=base,
         outward=outward,
         cells=cell_arrays,
     )

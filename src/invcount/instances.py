@@ -71,14 +71,20 @@ def decode_inversion_table(table: list[int]) -> np.ndarray:
     i = np.arange(n)
     for lev in range((n - 1).bit_length()):
         half = 1 << lev
-        pair = i >> (lev + 1)
         in_a = (i & half) == 0
-        # sorted(A)[j] - j per pair; A is full wherever B is not empty.
-        free = np.sort(pair[in_a] * n + rank[in_a])
-        free -= np.arange(len(free)) & (half - 1)
         b = ~in_a
-        rank[b] += (np.searchsorted(free, pair[b] * n + rank[b], side="right")
-                    - (pair[b] << lev))
+        # Keys pair * n + rank (ranks stay below n).  Temporaries are freed
+        # once read, so at most three half-length arrays live beside rank and i.
+        # sorted(A)[j] - j per pair; A is full wherever B is not empty.
+        free = (i[in_a] >> (lev + 1)) * n + rank[in_a]
+        free.sort()
+        free -= np.arange(len(free)) & (half - 1)
+        key = (i[b] >> (lev + 1)) * n + rank[b]
+        pos = np.searchsorted(free, key, side="right")
+        del free
+        pos -= key // n << lev
+        rank[b] += pos
+        del key, pos
     return rank.astype(np.float64)
 
 

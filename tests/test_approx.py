@@ -139,6 +139,20 @@ class TestPairSampler:
         sigma = np.sqrt(0.75 * 0.25 / 100_000)
         assert abs(freq - 0.75) <= 4 * sigma
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("side", ["red", "blue"])
+    def test_empty_side_cell_is_never_drawn(self, at, side):
+        fam = self._family([2, 3])
+        none = PointSet(np.array([], dtype=np.int64), np.array([]),
+                        np.array([], dtype=np.int64), side)
+        full = fam.cells[0]
+        fam.cells.insert(at, Cell(red=none, blue=full.blue) if side == "red"
+                         else Cell(red=full.red, blue=none))
+        sampler = PairSampler(fam)
+        assert sampler.total == 1 * 2 + 1 * 3
+        _, _, cells = sampler.draw_many(np.random.default_rng(11), 100_000)
+        assert not np.any(cells == at)
+
     def test_empty_sample_space_raises(self):
         fam = RedBlueCells(cap=1)
         sampler = PairSampler(fam)
@@ -154,7 +168,7 @@ class TestPairSampler:
         assert not built.failed
         sampler = PairSampler(built)
         space = sampler.total
-        assert space == sum(c.weight for c in built.cells)
+        assert space == sum(len(c.red) * len(c.blue) for c in built.cells)
         m = 40_000
         rng = np.random.default_rng(3)
         ri, bi, _ = sampler.draw_many(rng, m)

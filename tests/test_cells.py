@@ -13,6 +13,7 @@ from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       reduce_inversions)
 from invcount.cells import Cell, RedBlueCells
 from invcount.core import PointSet
+from invcount.instances import SHAPES
 
 
 def build(values, cap):
@@ -100,7 +101,7 @@ class TestAudit:
         values = generate(InstanceSpec(100, "random_permutation", seed=1))
         red, blue, built = build(values, 100 * 100)
         assert not built.failed
-        dropped = [c for c in built.cells if c.weight > 0]
+        dropped = [c for c in built.cells if len(c.red) * len(c.blue) > 0]
         assert dropped
         built.cells.remove(dropped[0])
         audit = audit_cells(built, red, blue)
@@ -137,6 +138,16 @@ class TestAudit:
             assert audit.ok and audit.duplicate_pairs == []
             assert audit.total_pairs == audit.expected_pairs == 2
 
+    def test_summary_names_the_outcome(self):
+        values = generate(InstanceSpec(100, "target_inversions", seed=5,
+                                       target=300))
+        red, blue, built = build(values, 1600)
+        assert audit_cells(built, red, blue).summary() == (
+            "ok: pairs 300/300, small-side ratio 4.00, size ratio 1.64")
+        built.cells.append(built.cells[0])
+        assert audit_cells(built, red, blue).summary() == (
+            "VIOLATION: pairs 558/300, small-side ratio 4.00, size ratio 2.28")
+
     def test_audit_refuses_failed_build(self):
         red, blue, built = build(generate(InstanceSpec(256, "reverse")), 256)
         with pytest.raises(ValueError):
@@ -168,6 +179,18 @@ class TestProperties:
         if built.failed:
             assert brute_force_count(red, blue) > cap
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SHAPES), st.integers(0, 300), st.integers(0, 10**6),
+           st.integers(1, 50_000), st.sampled_from([RAM_PARAMS, EmParams(1024, 32)]))
+    def test_every_cell_has_both_sides(self, shape, n, seed, cap, params):
+        # PairSampler weights every cell by |R||B| without filtering; this
+        # holds for the partial family of a failed build too.
+        target = seed % (n * (n - 1) // 2 + 1)
+        values = generate(InstanceSpec(n, shape, seed=seed, target=target))
+        red, blue = reduce_inversions(values)
+        built = build_cells(red, blue, cap, IoTally(params))
+        assert all(len(c.red) and len(c.blue) for c in built.cells)
+
     def test_level_counts_halve(self):
         values = generate(InstanceSpec(400, "random_permutation", seed=3))
         red, blue = reduce_inversions(values)
@@ -181,9 +204,3 @@ class TestProperties:
             by_level[c.level][1] += len(c.blue)
         for level, (nr, nb) in by_level.items():
             assert min(nr, nb) <= 400  # sanity; sharper bound in acceptance
-
-
-def test_cell_weight():
-    red, blue = reduce_inversions([2.0, 1.0, 3.0])
-    cell = Cell(red=red, blue=blue, level=1)
-    assert cell.weight == 9

@@ -177,6 +177,23 @@ class TestInputs:
             "count", "--alg", "mergesort", "--input", "-"])
         assert code == 3 and out == "" and "line 1" in err
 
+    @pytest.mark.parametrize("text", ["9007199254740993.0", "9.007199254740993e15",
+                                      "1e23"])
+    def test_inexact_integral_value_in_any_notation_rejected(
+            self, capsys, monkeypatch, text):
+        # 1e23 rounds to 99999999999999991611392, which would hide the
+        # one inversion against that value.
+        below = "9007199254740992" if text.startswith("9") else "99999999999999991611392"
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{below}\n{text}\n{below}\n"))
+        code, out, err = run(capsys, [
+            "count", "--alg", "mergesort", "--input", "-"])
+        assert code == 3 and out == "" and "line 2" in err and text in err
+
+    def test_exact_or_non_integral_literals_parse(self):
+        text = "1e22\n9007199254740992.0\n0.1\n-0\n1_000\n"
+        assert list(read_values(io.StringIO(text))) == [
+            1e22, 9007199254740992.0, 0.1, 0.0, 1000.0]
+
     def test_exact_large_integer_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin",
                             io.StringIO("9007199254740994\n9007199254740992\n"))

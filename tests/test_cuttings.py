@@ -37,19 +37,19 @@ def query_coverage(cut, base, q: Point) -> int:
 class TestDegenerate:
     def test_empty_base(self):
         cut = build_red_cutting(empty_set(), 5, IoTally(PARAMS))
-        assert cut.n_cells == 1 and len(cut.cell_points(0)) == 0
+        assert len(cut.cells) == 1 and len(cut.cells[0]) == 0
         assert corner_coverages(cut, empty_set()) == [0]
 
     def test_depth_at_least_base_size(self):
         red, _ = reduce_inversions(generate(InstanceSpec(20, "random_permutation")))
         cut = build_red_cutting(red, 20, IoTally(PARAMS))
         assert len(cut.outward) == 1
-        assert len(cut.cell_points(0)) == 20
+        assert len(cut.cells[0]) == 20
 
     def test_blue_degenerate(self):
         _, blue = reduce_inversions(generate(InstanceSpec(10, "random_real")))
         cut = build_blue_cutting(blue, 10, IoTally(PARAMS))
-        assert cut.n_cells == 1 and len(cut.cell_points(0)) == 10
+        assert len(cut.cells) == 1 and len(cut.cells[0]) == 10
 
     def test_depth_must_be_positive(self):
         red, _ = reduce_inversions([1.0, 2.0, 3.0])

@@ -1,5 +1,7 @@
 """Instance generation, including exact inversion-count targeting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,3 +85,16 @@ class TestInversionTables:
             values = generate(InstanceSpec(100, "target_inversions",
                                            seed=k, target=k))
             assert mergesort_count(values) == k
+
+    def test_decoder_frees_its_temporaries(self):
+        # The int64 ranks and indices take 2 MiB at n = 2**17; a level's two
+        # masks and at most three half-length temporaries add 1.75 MiB.
+        n = 2**17
+        table = random_inversion_table(n, n, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            decode_inversion_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
