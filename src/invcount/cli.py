@@ -37,7 +37,7 @@ class InputParseError(Exception):
 
 
 def _holds_exactly(text: str, v: float) -> bool:
-    """False for an integral value, in any notation, that float64 ``v`` does not equal."""
+    """False for an integral value, in any notation, that float64 ``v`` rounds."""
     d = Decimal(text)
     return d != d.to_integral_value() or d == Decimal(v)
 

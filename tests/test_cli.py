@@ -183,8 +183,10 @@ class TestInputs:
             self, capsys, monkeypatch, text):
         # 1e23 rounds to 99999999999999991611392, which would hide the
         # one inversion against that value.
-        below = "9007199254740992" if text.startswith("9") else "99999999999999991611392"
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{below}\n{text}\n{below}\n"))
+        below = ("9007199254740992" if text.startswith("9")
+                 else "99999999999999991611392")
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO(f"{below}\n{text}\n{below}\n"))
         code, out, err = run(capsys, [
             "count", "--alg", "mergesort", "--input", "-"])
         assert code == 3 and out == "" and "line 2" in err and text in err
