@@ -29,7 +29,7 @@ import numpy as np
 
 from .cells import RedBlueCells, build_cells
 from .core import PointSet, reduce_inversions, ykey_less
-from .counting import count_capped_ram
+from .counting import _gather, count_capped_ram
 from .iomodel import IoTally, RAM_PARAMS
 
 REGIME_EXACT = "exact_small"
@@ -62,19 +62,16 @@ class PairSampler:
     """
 
     def __init__(self, cells: RedBlueCells):
-        sizes = np.array([(len(c.red), len(c.blue)) for c in cells.cells],
-                         dtype=np.int64).reshape(-1, 2)
-        self.r_sizes, self.b_sizes = sizes.T
+        x, y, t, (self.b_sizes, self.r_sizes) = _gather(cells.cells)
         # A cell with an empty side adds nothing to ``cum``, so
         # ``searchsorted(cum, u, "right")`` never draws it.
         self.cum = np.cumsum(self.r_sizes * self.b_sizes)
         self.total = int(self.cum[-1]) if len(self.cum) else 0
         self.r_offs = np.concatenate([[0], np.cumsum(self.r_sizes)])
         self.b_offs = np.concatenate([[0], np.cumsum(self.b_sizes)])
-        self.rx, self.ry, self.rt, self.bx, self.by, self.bt = (
-            np.concatenate([getattr(getattr(c, side), a) for c in cells.cells]
-                           or [np.empty(0)])
-            for side in ("red", "blue") for a in ("x", "y", "tiebreak"))
+        nb = self.b_offs[-1]
+        self.bx, self.by, self.bt = x[:nb], y[:nb], t[:nb]
+        self.rx, self.ry, self.rt = x[nb:], y[nb:], t[nb:]
 
     def draw_many(self, rng: np.random.Generator, m: int):
         """Draw ``m`` pairs; returns flat indices (red, blue, cell)."""

@@ -161,6 +161,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
     params = EmParams(args.mem, args.block)
     kstars = [int(s) for s in args.kstar.split(",")]
     # The CSV is written once the whole grid has run, so a usage error

@@ -25,12 +25,18 @@ stops at the first success.  The total cost telescopes to the cost of the
 last round, so the I/O count adapts to the true number of pairs.
 
 The comparison/RAM-model rounds (``count_capped_ram``, and
-``count_adaptive_ram`` over ``ram_cap_schedule``) count each cell with
-``merge_count_dominance`` instead: one O(n log n) sort, then the
-``ceil(log2 n)`` vectorized passes of the position-inversion kernel, each
-ending in one stable sort, so O(n log^2 n) comparisons in all.  The kernel
-lives in ``core`` beside ``core.mergesort_count``, its other user.
-Only the I/O-model counters reach the distribution recursion.
+``count_adaptive_ram`` over ``ram_cap_schedule``) count their cells in
+batches of consecutive cells holding about ``BATCH_POINTS`` points, one
+call of the position-inversion kernel per batch.  Every point carries the
+id of its cell; positions sort by ``(cell, x, blue first on equal x)``
+and keys by ``(cell, y, tiebreak)``, so a red and a blue of different
+cells never invert and only pairs within a cell count.  A batch of ``n``
+points costs one O(n log n) sort, then the ``ceil(log2 n)`` vectorized
+kernel passes, each ending in one stable sort: O(n log^2 n) comparisons,
+and a round is the sum over its batches.  ``merge_count_dominance`` is
+the one-cell case.  The kernel lives in ``core`` beside
+``core.mergesort_count``, its other user.  Only the I/O-model counters
+reach the distribution recursion.
 """
 
 from __future__ import annotations
@@ -42,26 +48,74 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .cells import build_cells
+from .cells import Cell, build_cells
 from .core import PointSet, brute_force_count, count_position_inversions
 from .iomodel import EmParams, IoTally, RAM_PARAMS
+
+
+#: Points a batch of cells gathers for one kernel call; a larger cell is
+#: a batch of its own.  Larger batches ran no faster and held more memory:
+#: on the exact round of a 2^15-point estimate, a bound of 2^16 raised
+#: peak RSS by about 4 MB and one batch for all cells by about 9 MB.
+BATCH_POINTS = 2**12
+
+
+def _gather(cells: list[Cell]) -> tuple[np.ndarray, ...]:
+    """``x, y, tiebreak`` of every blue point of ``cells`` and then every
+    red one, each colour in cell order, and the sizes as two rows: the
+    blue and the red size of each cell."""
+    sides = [c.blue for c in cells] + [c.red for c in cells]
+    sizes = np.array([len(s) for s in sides], dtype=np.int64).reshape(2, -1)
+    x, y, t = (np.concatenate([getattr(s, a) for s in sides] or [np.empty(0)])
+               for a in ("x", "y", "tiebreak"))
+    return x, y, t, sizes
+
+
+def _batches(cells: list[Cell]) -> Iterator[list[Cell]]:
+    """Runs of consecutive cells, each of at most ``BATCH_POINTS`` points
+    unless it is a single larger cell."""
+    start = points = 0
+    for i, c in enumerate(cells):
+        n = len(c.red) + len(c.blue)
+        if i > start and points + n > BATCH_POINTS:
+            yield cells[start:i]
+            start, points = i, 0
+        points += n
+    if start < len(cells):
+        yield cells[start:]
+
+
+def _key_order(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's key order and red mask for one batch of cells.
+
+    Blue comes first in the gather, so the stable sort by ``(cell, x)``
+    puts blue first on equal x: equal-x pairs (never dominating) cannot
+    count.  The gathered coordinates are freed on return, before the
+    kernel allocates its own arrays.
+    """
+    x, y, t, sizes = _gather(cells)
+    cell = np.repeat(np.tile(np.arange(len(cells)), 2), sizes.ravel())
+    by_x = np.lexsort((x, cell))
+    is_red = by_x >= sizes[0].sum()
+    return np.lexsort((t[by_x], y[by_x], cell[by_x])), is_red
+
+
+def _count_cells(cells: list[Cell]) -> int:
+    """Domination pairs summed over ``cells``: one kernel call per batch."""
+    total = 0
+    for batch in _batches(cells):
+        order, is_red = _key_order(batch)
+        total += count_position_inversions(order, is_red, ~is_red)
+    return total
 
 
 def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
     """Exact domination-pair count in O(n log^2 n) comparisons.
 
-    Used as the comparison-model leaf solver; independent of the
-    distribution-based recursion.  A stable sort of x, blue concatenated
-    first, merges the colors with blue first on equal x, so equal-x pairs
-    (never dominating) cannot count; the domination pairs are then the
-    red-blue position inversions under the ``(y, tiebreak)`` key, which
-    ``core.count_position_inversions`` counts in ``ceil(log2 n)`` passes.
+    The one-cell case of the comparison-model rounds' batched counter;
+    independent of the distribution-based recursion.
     """
-    by_x = np.argsort(np.concatenate([blue.x, red.x]), kind="stable")
-    y = np.concatenate([blue.y, red.y])[by_x]
-    t = np.concatenate([blue.tiebreak, red.tiebreak])[by_x]
-    is_red = by_x >= len(blue)
-    return count_position_inversions(np.lexsort((t, y)), is_red, ~is_red)
+    return _count_cells([Cell(red, blue)])
 
 
 def _fanout(params: EmParams) -> int:
@@ -141,26 +195,27 @@ def count_nonadaptive(red: PointSet, blue: PointSet,
 
 
 def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
-            leaf: Callable[[PointSet, PointSet], int]) -> Optional[int]:
-    """One guessing round: count with ``leaf`` inside the cells for ``cap``.
+            count: Callable[[list[Cell]], int]) -> Optional[int]:
+    """One guessing round: ``count`` the pairs in the cells for ``cap``.
 
-    A cap that cannot be exceeded skips the cell construction entirely.
+    A cap that cannot be exceeded skips the cell construction entirely
+    and counts the input as one cell.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if cap >= len(red) * len(blue):
-        return leaf(red, blue)
+        return count([Cell(red, blue)])
     built = build_cells(red, blue, cap, tally)
     if built.failed:
         return None
-    return sum(leaf(cell.red, cell.blue) for cell in built.cells)
+    return count(built.cells)
 
 
 def count_capped(red: PointSet, blue: PointSet, cap: int,
                  params: EmParams, tally: IoTally) -> Optional[int]:
     """Exact count, or ``None`` (failure) only when the true count > cap."""
-    return _capped(red, blue, cap, tally,
-                   lambda r, b: count_nonadaptive(r, b, params, tally))
+    return _capped(red, blue, cap, tally, lambda cells: sum(
+        count_nonadaptive(c.red, c.blue, params, tally) for c in cells))
 
 
 def _saturating(n: int, cap_at: Callable[[int], int]) -> Iterator[int]:
@@ -227,8 +282,8 @@ def count_adaptive(red: PointSet, blue: PointSet,
 
 
 def count_capped_ram(red: PointSet, blue: PointSet, cap: int) -> Optional[int]:
-    """Comparison-model capped round: ``merge_count_dominance`` in each cell."""
-    return _capped(red, blue, cap, IoTally(RAM_PARAMS), merge_count_dominance)
+    """Comparison-model capped round: its cells counted in batches."""
+    return _capped(red, blue, cap, IoTally(RAM_PARAMS), _count_cells)
 
 
 def count_adaptive_ram(red: PointSet, blue: PointSet) -> AdaptiveCount:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from invcount import (Estimate, InstanceSpec, PairSampler, brute_force_count,
-                      estimate_inversions, generate, mergesort_count,
-                      reduce_inversions)
+                      count_adaptive_ram, counting, estimate_inversions,
+                      generate, mergesort_count, reduce_inversions)
 from invcount.approx import (EmptySampleSpaceError, REGIME_CELL, REGIME_EXACT,
                              REGIME_UNIFORM, _uniform_indices,
                              draw_uniform_pair, middle_regime_cap)
@@ -30,6 +30,19 @@ class TestRegimeDispatch:
         est = estimate_inversions(values, seed=0)
         assert est.regime == REGIME_EXACT
         assert est.value == mergesort_count(values) == 9000
+
+    def test_exact_round_spanning_several_batches(self):
+        # N = 2^13 at k* = N/2 gives cells of more points than one batch
+        # of the comparison-model counter holds.
+        n = 2**13
+        values = generate(InstanceSpec(n, "target_inversions", seed=0,
+                                       target=n // 2))
+        red, blue = reduce_inversions(values)
+        family = build_cells(red, blue, n, IoTally(RAM_PARAMS)).cells
+        assert len(list(counting._batches(family))) > 1
+        est = estimate_inversions(values, seed=0)
+        assert est.regime == REGIME_EXACT and est.value == n // 2
+        assert count_adaptive_ram(red, blue).count == mergesort_count(values)
 
     def test_small_count_never_runs_distribution_counter(self, monkeypatch):
         import invcount.counting as counting

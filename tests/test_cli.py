@@ -131,7 +131,9 @@ class TestBench:
 
     @pytest.mark.parametrize("grid", [["--n", "10", "--kstar", "0,1000"],
                                       ["--n", "-3", "--kstar", "0"],
-                                      ["--n", "10", "--kstar", "0,x"]])
+                                      ["--n", "10", "--kstar", "0,x"],
+                                      ["--n", "10", "--kstar", "0", "--seeds", "0"],
+                                      ["--n", "10", "--kstar", "0", "--seeds", "-2"]])
     def test_bad_grid_prints_nothing(self, capsys, grid):
         code, out, err = run(capsys, ["bench", "--alg", "mergesort", *grid])
         assert code == 2 and out == "" and err.startswith("error:")

@@ -1,18 +1,21 @@
 """Exact counters: distribution recursion, capped rounds, adaptive schedule."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invcount import counting
 from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       audit_cells, brute_force_count, build_cells,
                       cap_schedule, count_adaptive, count_adaptive_ram,
                       count_capped, count_capped_ram, count_nonadaptive,
                       generate, merge_count_dominance, ram_cap_schedule,
                       reduce_inversions)
-from invcount.cells import STOP_SIZE
-from invcount.core import PointSet
+from invcount.cells import STOP_SIZE, Cell
+from invcount.core import PointSet, dominates
 
 PARAMS = EmParams(2048, 32)
 
@@ -82,6 +85,56 @@ class TestMergeLeaf:
         red = random_points(rng, nr, "red", span)
         blue = random_points(rng, nb, "blue", span)
         assert merge_count_dominance(red, blue) == brute_force_count(red, blue)
+
+
+def points(xs, ys, color):
+    return PointSet(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.float64),
+                    np.zeros(len(xs), dtype=np.int64), color)
+
+
+def per_cell_brute(cells):
+    return sum(brute_force_count(c.red, c.blue) for c in cells)
+
+
+class TestBatchedCells:
+    """The comparison-model rounds' counter of a cell family, by batches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Cell, colored_points("red"), colored_points("blue")),
+                    max_size=6),
+           st.sampled_from([1, 16, 48, counting.BATCH_POINTS]))
+    def test_matches_per_cell_brute(self, cells, bound):
+        # Cells share one narrow grid, so reds and blues of different
+        # cells dominate each other, x repeats across colours and keys
+        # repeat; a side may be empty, and the small bounds put one cell
+        # or several batches over the bound.
+        with mock.patch.object(counting, "BATCH_POINTS", bound):
+            assert counting._count_cells(cells) == per_cell_brute(cells)
+
+    def test_pairs_across_cells_never_count(self):
+        # Cell 1's blue dominates cell 0's red, and cell 0's blue dominates
+        # cell 1's first red.  Inside the cells one pair dominates; the
+        # equal-x pair of cell 1 does not, and cell 2 has no blue.
+        cells = [Cell(points([0], [5], "red"), points([1], [9], "blue")),
+                 Cell(points([0, 3], [10, 7], "red"), points([3], [0], "blue")),
+                 Cell(points([2], [0], "red"), points([], [], "blue"))]
+        assert dominates(cells[1].blue.point(0), cells[0].red.point(0))
+        assert dominates(cells[0].blue.point(0), cells[1].red.point(0))
+        assert per_cell_brute(cells) == 1
+        assert counting._count_cells(cells) == 1
+
+    def test_large_cell_alone_among_several_batches(self):
+        rng = np.random.default_rng(7)
+        sizes = [(10, 12)] * 300 + [(2500, 2200)] + [(12, 9)] * 300
+        cells = [Cell(random_points(rng, nr, "red", 3 * nr),
+                      random_points(rng, nb, "blue", 3 * nb))
+                 for nr, nb in sizes]
+        batches = list(counting._batches(cells))
+        assert sum(batches, []) == cells and len(batches) >= 4
+        assert [len(b) for b in batches].count(1) == 1
+        assert all(sum(len(c.red) + len(c.blue) for c in b)
+                   <= counting.BATCH_POINTS for b in batches if len(b) > 1)
+        assert counting._count_cells(cells) == per_cell_brute(cells)
 
 
 class TestNonadaptive:
