@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcount import counting
 from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       audit_cells, brute_force_count, build_cells,
                       cap_schedule, count_adaptive, count_adaptive_ram,
                       count_capped, count_capped_ram, count_nonadaptive,
-                      generate, merge_count_dominance, ram_cap_schedule,
-                      reduce_inversions)
+                      counting, generate, merge_count_dominance,
+                      ram_cap_schedule, reduce_inversions)
 from invcount.cells import STOP_SIZE, Cell
 from invcount.core import PointSet, dominates
 
