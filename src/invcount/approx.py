@@ -29,7 +29,7 @@ import numpy as np
 
 from .cells import RedBlueCells, build_cells
 from .core import PointSet, reduce_inversions, ykey_less
-from .counting import _gather, count_capped_ram
+from .counting import count_capped_ram
 from .iomodel import IoTally, RAM_PARAMS
 
 REGIME_EXACT = "exact_small"
@@ -58,11 +58,12 @@ class PairSampler:
 
     Stage 1 picks a cell with probability |R_i||B_i|/S, stage 2 a uniform
     blue point of the cell, stage 3 a uniform red point; the resulting
-    pair is uniform over all S candidate pairs.
+    pair is uniform over all S candidate pairs.  The coordinate arrays are
+    views of the family's layout, so the family is held once.
     """
 
     def __init__(self, cells: RedBlueCells):
-        x, y, t, (self.b_sizes, self.r_sizes) = _gather(cells.cells)
+        x, y, t, (self.b_sizes, self.r_sizes) = cells.layout()
         # A cell with an empty side adds nothing to ``cum``, so
         # ``searchsorted(cum, u, "right")`` never draws it.
         self.cum = np.cumsum(self.r_sizes * self.b_sizes)

@@ -15,15 +15,27 @@ failure, which certifies that the true pair count exceeds ``K``; failures
 are a value, not an error, because callers retry with a larger cap.  The
 recursion halves the level budget and stops below a small constant, where
 one leaf cell holds everything left.
+
+A built family is one flat layout, the form the comparison-model counter
+and the pair sampler read: the ``x``, ``y`` and ``tiebreak`` of every blue
+point of every cell and then of every red point, each colour in cell
+order, the cell sizes as two rows (blue, red), and one level per cell.
+No per-cell object is made unless a caller reads ``RedBlueCells.cells``.
+Beyond the cutting's sweep, a half-level costs a constant number of numpy
+passes over its points: one classification, one stable sort of the cell
+labels, one ``bincount``, one mask over the cutting's members, and one
+gather each of the hosts' and the members' indices into the input sets.
+The layout is one gather of the input coordinates by those indices at
+the end, so the family's points are held once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, dominance_mask
+from .core import PointSet, _unchecked, dominance_mask
 from .cuttings import build_blue_cutting, build_red_cutting
 from .iomodel import IoTally
 
@@ -46,24 +58,75 @@ class Cell:
     level: int = 0
 
 
-@dataclass
+def _gather(cells: list[Cell]) -> tuple[np.ndarray, ...]:
+    """``x, y, tiebreak`` of every blue point of ``cells`` and then every
+    red one, each colour in cell order, and the sizes as two rows: the
+    blue and the red size of each cell."""
+    sides = [c.blue for c in cells] + [c.red for c in cells]
+    sizes = np.array([len(s) for s in sides], dtype=np.int64).reshape(2, -1)
+    x, y, t = (np.concatenate([getattr(s, a) for s in sides] or [np.empty(0, dt)])
+               for a, dt in (("x", np.int64), ("y", np.float64),
+                             ("tiebreak", np.int64)))
+    return x, y, t, sizes
+
+
 class RedBlueCells:
-    """Outcome of the cell construction for one cap value."""
+    """Outcome of the cell construction for one cap value.
 
-    cap: int
-    cells: list[Cell] = field(default_factory=list)
-    failed: bool = False
+    A built family is held as the flat layout of the module docstring,
+    which ``layout()`` returns.  The first read of ``cells`` builds a list
+    of ``Cell``s whose sides are views of the layout; from then on that
+    list is the family, as is a list assigned to ``cells`` or passed to
+    the constructor, and ``layout()`` regathers it, so a changed list
+    counts and samples as it stands.
+    """
+
+    def __init__(self, cap: int, cells: list[Cell] | None = None,
+                 failed: bool = False):
+        self.cap = cap
+        self.failed = failed
+        self._cells = [] if cells is None else cells
+        self._layout: tuple[np.ndarray, ...] | None = None
+        self._levels: np.ndarray | None = None
+
+    @property
+    def cells(self) -> list[Cell]:
+        if self._cells is None:
+            x, y, t, sizes = self._layout
+            nb = int(sizes[0].sum())
+            blue = _unchecked(x[:nb], y[:nb], t[:nb], "blue")
+            red = _unchecked(x[nb:], y[nb:], t[nb:], "red")
+            b_ends, r_ends = np.cumsum(sizes, axis=1).tolist()
+            self._cells = [
+                Cell(red._take(slice(r0, r1)), blue._take(slice(b0, b1)), level)
+                for b0, b1, r0, r1, level in zip([0] + b_ends, b_ends, [0] + r_ends,
+                                                 r_ends, self._levels.tolist())]
+            self._layout = self._levels = None
+        return self._cells
+
+    @cells.setter
+    def cells(self, cells: list[Cell]) -> None:
+        self._cells, self._layout, self._levels = cells, None, None
+
+    def layout(self) -> tuple[np.ndarray, ...]:
+        """``x, y, tiebreak`` of every blue point and then every red point,
+        each colour in cell order, and the sizes as two rows (blue, red)."""
+        return self._layout if self._cells is None else _gather(self._cells)
 
 
-def _half_level(build, base: PointSet, others: PointSet, depth: int, n0: int,
-                level: int, out: list[Cell], tally: IoTally) -> PointSet | None:
+def _half_level(build, base: PointSet, base_at: np.ndarray, others: PointSet,
+                others_at: np.ndarray, depth: int, n0: int, level: int,
+                out: list, tally: IoTally) -> np.ndarray | None:
     """Cut ``base`` and put each point of ``others`` into a cell of the cutting.
 
-    Appends one cell per cutting cell that received a point and returns the
-    deep points of ``others`` (those in no cell), or ``None`` for failure:
-    more deep points than half this level's budget ``n0 / 2**level``.
-    Materializing a cell writes its conflict list (the host side); the
-    members are charged in one batch.
+    ``base_at`` and ``others_at`` hold the index of each point of ``base``
+    and ``others`` in the input set of its colour.  Appends the cutting
+    cells that received a point to ``out`` as one group (see
+    ``build_cells``) and returns the ascending positions in ``others`` of
+    its deep points (those in no cell), or ``None`` for failure: more deep
+    points than half this level's budget ``n0 / 2**level``.  Materializing
+    a cell writes its conflict list (the host side); the members are
+    charged in one batch.
     """
     cut = build(base, depth, tally)
     assign = cut.classify_many(others)
@@ -73,14 +136,20 @@ def _half_level(build, base: PointSet, others: PointSet, depth: int, n0: int,
         return None
     cut.charge_corners(tally)
     tally.charge_write(len(others) - n_deep)
-    deep, *groups = others.split(assign + 1, len(cut.cells) + 1)
-    for ci, members in enumerate(groups):
-        if len(members):
-            host = base._take(cut.cells[ci])
-            tally.charge_write(len(host))
-            pair = (host, members) if cut.orientation == "red" else (members, host)
-            out.append(Cell(*pair, level=level))
-    return deep
+    # The stable sort puts the deep points first and then each cell's
+    # members, every run in x order.
+    by_cell = np.argsort(assign, kind="stable")
+    got = np.bincount(assign + 1, minlength=len(cut.sizes) + 1)[1:]
+    kept = got > 0
+    n_hosts, n_members = cut.sizes[kept], got[kept]
+    tally.charge_write_each(n_hosts)
+    hosts = base_at[cut.members[np.repeat(kept, cut.sizes)]]
+    members = others_at[by_cell[n_deep:]]
+    if cut.orientation == "red":
+        out.append((hosts, members, np.stack((n_members, n_hosts)), level))
+    else:
+        out.append((members, hosts, np.stack((n_hosts, n_members)), level))
+    return by_cell[:n_deep]
 
 
 def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedBlueCells:
@@ -88,32 +157,56 @@ def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedB
     if cap < 1:
         raise ValueError("cap must be at least 1")
     n0 = max(len(red), len(blue))
-    result = RedBlueCells(cap=cap)
+    # One group per half-level (and the leaf): the indices into ``red``
+    # and into ``blue`` of its cells' points, cell after cell, the cells'
+    # sizes as two rows (blue, red), and the level.
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
+    failed = False
     cur_red, cur_blue = red, blue
+    red_at, blue_at = np.arange(len(red)), np.arange(len(blue))
     level = 0
     while True:
         nr, nb = len(cur_red), len(cur_blue)
         if nr == 0 or nb == 0:
             break
         if nr < STOP_SIZE and nb < STOP_SIZE:
-            result.cells.append(Cell(red=cur_red, blue=cur_blue, level=level))
+            groups.append((red_at, blue_at, np.array([[nb], [nr]]), level))
             break
         depth = (2 * cap * (1 << level) + n0 - 1) // n0
 
-        deep_blue = _half_level(build_red_cutting, cur_red, cur_blue, depth,
-                                n0, level, result.cells, tally)
-        if deep_blue is None or len(deep_blue) == 0:
-            result.failed = deep_blue is None
+        deep = _half_level(build_red_cutting, cur_red, red_at, cur_blue, blue_at,
+                           depth, n0, level, groups, tally)
+        if deep is None or len(deep) == 0:
+            failed = deep is None
             break
-        deep_red = _half_level(build_blue_cutting, deep_blue, cur_red, depth,
-                               n0, level, result.cells, tally)
-        if deep_red is None:
-            result.failed = True
+        cur_blue, blue_at = cur_blue._take(deep), blue_at[deep]
+        deep = _half_level(build_blue_cutting, cur_blue, blue_at, cur_red, red_at,
+                           depth, n0, level, groups, tally)
+        if deep is None:
+            failed = True
             break
-        tally.charge_write(len(deep_red) + len(deep_blue))
-
-        cur_red, cur_blue = deep_red, deep_blue
+        cur_red, red_at = cur_red._take(deep), red_at[deep]
+        tally.charge_write(len(cur_red) + len(cur_blue))
         level += 1
+
+    result = RedBlueCells(cap=cap, failed=failed)
+    none = np.empty(0, np.intp)
+    red_at, blue_at = (np.concatenate([g[i] for g in groups] + [none]) for i in (0, 1))
+    sizes = np.concatenate([g[2] for g in groups] + [np.empty((2, 0), np.int64)],
+                           axis=1)
+    result._levels = np.repeat([g[3] for g in groups], [g[2].shape[1] for g in groups])
+    groups.clear()
+    # Gather straight into the layout, so it is the one copy of the points.
+    # Every index comes from the build and is in range, so "clip" changes
+    # none; the default "raise" would copy each gather through a buffer.
+    nb = len(blue_at)
+    coords = []
+    for a in ("x", "y", "tiebreak"):
+        col = np.empty(nb + len(red_at), getattr(red, a).dtype)
+        np.take(getattr(blue, a), blue_at, out=col[:nb], mode="clip")
+        np.take(getattr(red, a), red_at, out=col[nb:], mode="clip")
+        coords.append(col)
+    result._cells, result._layout = None, (*coords, sizes)
     return result
 
 

@@ -132,12 +132,7 @@ class PointSet:
         checked and cast, so the subset skips ``__post_init__``: only
         points built from outside input go through it.
         """
-        sub = object.__new__(PointSet)
-        object.__setattr__(sub, "x", self.x[idx])
-        object.__setattr__(sub, "y", self.y[idx])
-        object.__setattr__(sub, "tiebreak", self.tiebreak[idx])
-        object.__setattr__(sub, "color", self.color)
-        return sub
+        return _unchecked(self.x[idx], self.y[idx], self.tiebreak[idx], self.color)
 
     def split(self, labels: np.ndarray, k: int) -> list["PointSet"]:
         """Subset ``j`` for each label ``j`` in ``range(k)``, in x order
@@ -146,6 +141,17 @@ class PointSet:
         grouped = self._take(np.argsort(labels, kind="stable"))
         ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
         return [grouped._take(slice(a, b)) for a, b in zip([0] + ends, ends)]
+
+
+def _unchecked(x, y, t, color: str) -> PointSet:
+    """A ``PointSet`` over arrays taken from checked point sets, without
+    the checks of ``__post_init__``."""
+    points = object.__new__(PointSet)
+    object.__setattr__(points, "x", x)
+    object.__setattr__(points, "y", y)
+    object.__setattr__(points, "tiebreak", t)
+    object.__setattr__(points, "color", color)
+    return points
 
 
 def reduce_inversions(values) -> tuple[PointSet, PointSet]:

@@ -27,10 +27,13 @@ last round, so the I/O count adapts to the true number of pairs.
 The comparison/RAM-model rounds (``count_capped_ram``, and
 ``count_adaptive_ram`` over ``ram_cap_schedule``) count their cells in
 batches of consecutive cells holding about ``BATCH_POINTS`` points, one
-call of the position-inversion kernel per batch.  Every point carries the
-id of its cell; positions sort by ``(cell, x, blue first on equal x)``
-and keys by ``(cell, y, tiebreak)``, so a red and a blue of different
-cells never invert and only pairs within a cell count.  A batch of ``n``
+call of the position-inversion kernel per batch.  They read the family's
+flat layout (``cells.RedBlueCells.layout``): a batch is two slices of it,
+its cells' blue points and their red points, so a round makes no
+per-cell object.  Every point carries the id of its cell; positions sort
+by ``(cell, x, blue first on equal x)`` and keys by ``(cell, y,
+tiebreak)``, so a red and a blue of different cells never invert and only
+pairs within a cell count.  A batch of ``n``
 points costs one O(n log n) sort, then the ``ceil(log2 n)`` vectorized
 kernel passes, each ending in one stable sort: O(n log^2 n) comparisons,
 and a round is the sum over its batches.  ``merge_count_dominance`` is
@@ -48,7 +51,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .cells import Cell, build_cells
+from .cells import Cell, RedBlueCells, build_cells
 from .core import PointSet, brute_force_count, count_position_inversions
 from .iomodel import EmParams, IoTally, RAM_PARAMS
 
@@ -60,51 +63,53 @@ from .iomodel import EmParams, IoTally, RAM_PARAMS
 BATCH_POINTS = 2**12
 
 
-def _gather(cells: list[Cell]) -> tuple[np.ndarray, ...]:
-    """``x, y, tiebreak`` of every blue point of ``cells`` and then every
-    red one, each colour in cell order, and the sizes as two rows: the
-    blue and the red size of each cell."""
-    sides = [c.blue for c in cells] + [c.red for c in cells]
-    sizes = np.array([len(s) for s in sides], dtype=np.int64).reshape(2, -1)
-    x, y, t = (np.concatenate([getattr(s, a) for s in sides] or [np.empty(0)])
-               for a in ("x", "y", "tiebreak"))
-    return x, y, t, sizes
+def _batches(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs ``lo, hi`` of consecutive cells, each of at most
+    ``BATCH_POINTS`` points unless it is a single larger cell; ``sizes``
+    holds the blue and the red size of each cell as two rows."""
+    ends = np.concatenate(([0], np.cumsum(sizes.sum(axis=0))))
+    lo, n = 0, sizes.shape[1]
+    while lo < n:
+        fit = int(np.searchsorted(ends, ends[lo] + BATCH_POINTS, side="right")) - 1
+        hi = max(lo + 1, fit)
+        yield lo, hi
+        lo = hi
 
 
-def _batches(cells: list[Cell]) -> Iterator[list[Cell]]:
-    """Runs of consecutive cells, each of at most ``BATCH_POINTS`` points
-    unless it is a single larger cell."""
-    start = points = 0
-    for i, c in enumerate(cells):
-        n = len(c.red) + len(c.blue)
-        if i > start and points + n > BATCH_POINTS:
-            yield cells[start:i]
-            start, points = i, 0
-        points += n
-    if start < len(cells):
-        yield cells[start:]
+def _key_order(x, y, t, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's key order and red mask for one batch of cells, given
+    in the layout of ``cells.RedBlueCells.layout``.
 
-
-def _key_order(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's key order and red mask for one batch of cells.
-
-    Blue comes first in the gather, so the stable sort by ``(cell, x)``
+    Blue comes first in the layout, so the stable sort by ``(cell, x)``
     puts blue first on equal x: equal-x pairs (never dominating) cannot
-    count.  The gathered coordinates are freed on return, before the
+    count.  The batch's coordinates are freed on return, before the
     kernel allocates its own arrays.
     """
-    x, y, t, sizes = _gather(cells)
-    cell = np.repeat(np.tile(np.arange(len(cells)), 2), sizes.ravel())
+    cell = np.repeat(np.tile(np.arange(sizes.shape[1]), 2), sizes.ravel())
     by_x = np.lexsort((x, cell))
     is_red = by_x >= sizes[0].sum()
     return np.lexsort((t[by_x], y[by_x], cell[by_x])), is_red
 
 
-def _count_cells(cells: list[Cell]) -> int:
-    """Domination pairs summed over ``cells``: one kernel call per batch."""
+def _count_cells(family: RedBlueCells) -> int:
+    """Domination pairs summed over the cells of ``family``: one kernel
+    call per batch, each batch two slices of the family's layout."""
+    x, y, t, sizes = family.layout()
+    # Where each cell's blue and red points start in the layout, and the end.
+    offs = np.zeros((2, sizes.shape[1] + 1), dtype=np.int64)
+    np.cumsum(sizes, axis=1, out=offs[:, 1:])
+    offs[1] += offs[0, -1]
     total = 0
-    for batch in _batches(cells):
-        order, is_red = _key_order(batch)
+    for lo, hi in _batches(sizes):
+        (b0, r0), (b1, r1) = offs[:, lo], offs[:, hi]
+        # A batch of every cell is the whole layout, taken without a copy.
+        order, is_red = _key_order(*(a[b0:r1] if b1 == r0 else
+                                     np.concatenate((a[b0:b1], a[r0:r1]))
+                                     for a in (x, y, t)), sizes[:, lo:hi])
+        if hi == sizes.shape[1]:
+            # Last batch: free a layout gathered from a list before the
+            # kernel allocates its own arrays.
+            x = y = t = None
         total += count_position_inversions(order, is_red, ~is_red)
     return total
 
@@ -115,7 +120,7 @@ def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
     The one-cell case of the comparison-model rounds' batched counter;
     independent of the distribution-based recursion.
     """
-    return _count_cells([Cell(red, blue)])
+    return _count_cells(RedBlueCells(len(red) * len(blue), [Cell(red, blue)]))
 
 
 def _fanout(params: EmParams) -> int:
@@ -195,7 +200,7 @@ def count_nonadaptive(red: PointSet, blue: PointSet,
 
 
 def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
-            count: Callable[[list[Cell]], int]) -> Optional[int]:
+            count: Callable[[RedBlueCells], int]) -> Optional[int]:
     """One guessing round: ``count`` the pairs in the cells for ``cap``.
 
     A cap that cannot be exceeded skips the cell construction entirely
@@ -204,18 +209,18 @@ def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if cap >= len(red) * len(blue):
-        return count([Cell(red, blue)])
+        return count(RedBlueCells(cap, [Cell(red, blue)]))
     built = build_cells(red, blue, cap, tally)
     if built.failed:
         return None
-    return count(built.cells)
+    return count(built)
 
 
 def count_capped(red: PointSet, blue: PointSet, cap: int,
                  params: EmParams, tally: IoTally) -> Optional[int]:
     """Exact count, or ``None`` (failure) only when the true count > cap."""
-    return _capped(red, blue, cap, tally, lambda cells: sum(
-        count_nonadaptive(c.red, c.blue, params, tally) for c in cells))
+    return _capped(red, blue, cap, tally, lambda family: sum(
+        count_nonadaptive(c.red, c.blue, params, tally) for c in family.cells))
 
 
 def _saturating(n: int, cap_at: Callable[[int], int]) -> Iterator[int]:

@@ -53,23 +53,24 @@ def _sweep(rank: list[int], k: int):
     x order.  For each outward corner but the last, returns the base
     position its x cut falls just before (``n`` past the last point) and
     the floor point whose key the next corner sits just below; then the
-    ascending base index list of every cell.
+    base indices of every cell, concatenated in cell order and ascending
+    within a cell, and the size of every cell.
     """
     n = len(rank)
     if k < 1:
         raise ValueError("cutting depth must be at least 1")
     if n <= 2 * k:
         # Degenerate staircase: one corner whose cell is the whole plane.
-        return [], [], [list(range(n))]
+        return [], [], list(range(n)), [n]
 
     cuts: list[int] = []
     floors: list[int] = []
-    cells: list[list[int]] = []
+    members: list[int] = []
     cur = list(range(2 * k))
     pos = 2 * k
     while len(cur) == 2 * k:
         cuts.append(pos)
-        cells.append(sorted(cur))
+        members += sorted(cur)
         # Raise the staircase: keep the k highest keys of the conflict
         # list, anchoring the next corner just below the lowest survivor.
         cur.sort(key=rank.__getitem__)
@@ -81,22 +82,31 @@ def _sweep(rank: list[int], k: int):
             if rank[pos] > floor:
                 cur.append(pos)
             pos += 1
-    cells.append(sorted(cur))
-    return cuts, floors, cells
+    members += sorted(cur)
+    return cuts, floors, members, [2 * k] * len(cuts) + [len(cur)]
 
 
 @dataclass
 class StaircaseCutting:
-    """A constructed staircase with the ascending base indices of each cell.
+    """A constructed staircase and the base points of each of its cells.
 
     Corners are stored in sweep order, which is ascending x for the red
-    orientation and descending x for the blue orientation.
+    orientation and descending x for the blue orientation.  ``members``
+    holds the base indices of every cell, concatenated in cell order and
+    ascending within a cell, and ``sizes`` the size of every cell;
+    ``cells`` splits ``members`` into one index array per cell.
     """
 
     orientation: str
     k: int
     outward: np.ndarray        # shape (t, 3): x, y, y-tiebreak
-    cells: list[np.ndarray] = field(repr=False)
+    members: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+
+    @property
+    def cells(self) -> list[np.ndarray]:
+        """The ascending base indices of each cell, as views of ``members``."""
+        return np.split(self.members, np.cumsum(self.sizes)[:-1])
 
     def _transform(self, *coords):
         """Red-oriented float coordinates (negated for the blue orientation)."""
@@ -135,7 +145,7 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
     # stable sort of the (y, tiebreak) keys leaves them in: sorting and
     # comparing ranks match sorting and comparing keys, ties included.
     rank = np.lexsort((t, y)).argsort()
-    cuts, floors, cells = _sweep(rank.tolist(), k)
+    cuts, floors, members, sizes = _sweep(rank.tolist(), k)
 
     cuts = np.array(cuts, dtype=np.intp)
     xs = np.append(x, x[-1:] + 1)  # a cut past the last point sits at +0.5
@@ -144,10 +154,15 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
         np.insert(y[floors], 0, -_INF),
         np.insert(t[floors] - 0.5, 0, 0.0),
     ))
-    cell_arrays = [np.array(cell, dtype=np.intp) for cell in cells]
+    members = np.array(members, dtype=np.intp)
+    sizes = np.array(sizes, dtype=np.intp)
     if orientation == "blue":
         outward = -outward
-        cell_arrays = [n - 1 - cell[::-1] for cell in cell_arrays]
+        # Undo the mirror: reverse each cell in place with one gather,
+        # entry ``j`` of a cell ending at ``e`` taking ``2e - size - 1 - j``.
+        ends = np.cumsum(sizes)
+        flip = np.repeat(2 * ends - sizes - 1, sizes) - np.arange(len(members))
+        members = n - 1 - members[flip]
 
     # Construction is a single scan; corners and conflict lists are only
     # charged when a consumer materializes them (see charge_corners and
@@ -156,7 +171,8 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
         orientation=orientation,
         k=k,
         outward=outward,
-        cells=cell_arrays,
+        members=members,
+        sizes=sizes,
     )
 
 

@@ -8,7 +8,9 @@ and reproducible bit-for-bit.  The tally has three charge rules:
 
 * ``charge_read``: scanning ``n`` records of ``w`` words charges
   ``ceil(n*w/B)`` reads;
-* ``charge_write``: materializing them charges ``ceil(n*w/B)`` writes;
+* ``charge_write``: materializing them charges ``ceil(n*w/B)`` writes
+  (``charge_write_each`` charges an array of record counts, one ceiling
+  per count);
 * ``charge_distribute``: a multiway distribution pass charges one input
   scan plus the write blocks of every bucket plus one flush block per
   bucket.
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 #: Words needed to store one planar point (index, value).
 POINT_WIDTH = 2
@@ -72,6 +76,12 @@ class IoTally:
 
     def charge_write(self, n_records: int, width: int = POINT_WIDTH) -> None:
         self.writes += self.params.blocks(n_records, width)
+
+    def charge_write_each(self, n_records: np.ndarray,
+                          width: int = POINT_WIDTH) -> None:
+        """``charge_write`` once per entry: a ceiling per count, not of the sum."""
+        sizes = np.asarray(n_records, dtype=np.int64)
+        self.writes += int(self.params.blocks(sizes, width).sum())
 
     def charge_distribute(self, n_records: int, bucket_sizes: Sequence[int]) -> None:
         """Charge one pass that splits ``n_records`` points into buckets.

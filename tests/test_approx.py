@@ -38,8 +38,8 @@ class TestRegimeDispatch:
         values = generate(InstanceSpec(n, "target_inversions", seed=0,
                                        target=n // 2))
         red, blue = reduce_inversions(values)
-        family = build_cells(red, blue, n, IoTally(RAM_PARAMS)).cells
-        assert len(list(counting._batches(family))) > 1
+        family = build_cells(red, blue, n, IoTally(RAM_PARAMS))
+        assert len(list(counting._batches(family.layout()[3]))) > 1
         est = estimate_inversions(values, seed=0)
         assert est.regime == REGIME_EXACT and est.value == n // 2
         assert count_adaptive_ram(red, blue).count == mergesort_count(values)

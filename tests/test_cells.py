@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
-                      audit_cells, brute_force_count, build_cells,
-                      count_capped, dominates, generate, mergesort_count,
-                      reduce_inversions)
+from invcount import (EmParams, InstanceSpec, IoTally, PairSampler,
+                      RAM_PARAMS, audit_cells, brute_force_count,
+                      build_cells, count_capped, counting, dominates,
+                      generate, mergesort_count, reduce_inversions)
+from invcount.approx import middle_regime_cap
 from invcount.cells import Cell, RedBlueCells
 from invcount.core import PointSet
 from invcount.instances import SHAPES
@@ -204,3 +205,68 @@ class TestProperties:
             by_level[c.level][1] += len(c.blue)
         for level, (nr, nb) in by_level.items():
             assert min(nr, nb) <= 400  # sanity; sharper bound in acceptance
+
+
+class TestLayout:
+    """A built family is a flat layout until ``.cells`` is read; from then
+    on the list is the family.  Both give the same counts and draws."""
+
+    N = 300
+    SAMPLER = ("total", "bx", "r_offs", "r_sizes", "b_offs", "b_sizes")
+
+    @pytest.mark.parametrize("params", [RAM_PARAMS, EmParams(1024, 32)])
+    @pytest.mark.parametrize("shape", ["sorted", "reverse",
+                                       "random_permutation", "target_inversions"])
+    def test_list_family_agrees_with_layout(self, shape, params):
+        n = self.N
+        values = generate(InstanceSpec(n, shape, seed=4, target=n))
+        red, blue = reduce_inversions(values)
+        cells = 0
+        for cap in (1, n, 16 * n, middle_regime_cap(n)):
+            fresh, read = (build_cells(red, blue, cap, IoTally(params))
+                           for _ in range(2))
+            cells += len(read.cells)
+            for a, b in zip(fresh.layout(), read.layout()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert counting._count_cells(fresh) == counting._count_cells(read)
+            samplers = PairSampler(fresh), PairSampler(read)
+            for name in self.SAMPLER:
+                a, b = (getattr(s, name) for s in samplers)
+                assert np.array_equal(a, b)
+                assert np.asarray(a).dtype == np.asarray(b).dtype
+            if samplers[0].total:
+                draws = [s.draw_many(np.random.default_rng(cap), 500) for s in samplers]
+                assert all(np.array_equal(a, b) for a, b in zip(*draws))
+                hits = [s.count_hits(*d[:2]) for s, d in zip(samplers, draws)]
+                assert hits[0] == hits[1]
+        assert cells > 0
+
+    def test_layout_holds_the_cells(self):
+        n = 400  # at k* = cap = n, the family spans levels 0 and 1
+        values = generate(InstanceSpec(n, "target_inversions", seed=1, target=n))
+        red, blue = reduce_inversions(values)
+        built = build_cells(red, blue, n, IoTally(RAM_PARAMS))
+        x, y, t, sizes = built.layout()
+        cells = built.cells
+        assert len(cells) == sizes.shape[1] > 1
+        assert sizes[0].tolist() == [len(c.blue) for c in cells]
+        assert sizes[1].tolist() == [len(c.red) for c in cells]
+        sides = [c.blue for c in cells] + [c.red for c in cells]
+        assert np.array_equal(x, np.concatenate([s.x for s in sides]))
+        assert np.array_equal(y, np.concatenate([s.y for s in sides]))
+        assert np.array_equal(t, np.concatenate([s.tiebreak for s in sides]))
+        assert len({c.level for c in cells}) > 1
+
+    def test_appending_to_the_read_list_adds_its_pairs(self):
+        values = generate(InstanceSpec(self.N, "target_inversions", seed=3,
+                                       target=2 * self.N))
+        red, blue = reduce_inversions(values)
+        built = build_cells(red, blue, 16 * self.N, IoTally(RAM_PARAMS))
+        before = counting._count_cells(built)
+        extra = Cell(red._take(slice(0, 40)), blue._take(slice(0, 40)))
+        assert brute_force_count(extra.red, extra.blue) > 0
+        built.cells.append(extra)
+        assert counting._count_cells(built) == before + brute_force_count(
+            extra.red, extra.blue)
+        assert PairSampler(built).total == sum(
+            len(c.red) * len(c.blue) for c in built.cells)

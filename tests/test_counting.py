@@ -13,7 +13,7 @@ from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       count_capped, count_capped_ram, count_nonadaptive,
                       counting, generate, merge_count_dominance,
                       ram_cap_schedule, reduce_inversions)
-from invcount.cells import STOP_SIZE, Cell
+from invcount.cells import STOP_SIZE, Cell, RedBlueCells
 from invcount.core import PointSet, dominates
 
 PARAMS = EmParams(2048, 32)
@@ -108,7 +108,8 @@ class TestBatchedCells:
         # repeat; a side may be empty, and the small bounds put one cell
         # or several batches over the bound.
         with mock.patch.object(counting, "BATCH_POINTS", bound):
-            assert counting._count_cells(cells) == per_cell_brute(cells)
+            assert (counting._count_cells(RedBlueCells(1, cells=cells))
+                    == per_cell_brute(cells))
 
     def test_pairs_across_cells_never_count(self):
         # Cell 1's blue dominates cell 0's red, and cell 0's blue dominates
@@ -120,7 +121,7 @@ class TestBatchedCells:
         assert dominates(cells[1].blue.point(0), cells[0].red.point(0))
         assert dominates(cells[0].blue.point(0), cells[1].red.point(0))
         assert per_cell_brute(cells) == 1
-        assert counting._count_cells(cells) == 1
+        assert counting._count_cells(RedBlueCells(1, cells=cells)) == 1
 
     def test_large_cell_alone_among_several_batches(self):
         rng = np.random.default_rng(7)
@@ -128,12 +129,13 @@ class TestBatchedCells:
         cells = [Cell(random_points(rng, nr, "red", 3 * nr),
                       random_points(rng, nb, "blue", 3 * nb))
                  for nr, nb in sizes]
-        batches = list(counting._batches(cells))
+        family = RedBlueCells(1, cells=cells)
+        batches = [cells[lo:hi] for lo, hi in counting._batches(family.layout()[3])]
         assert sum(batches, []) == cells and len(batches) >= 4
         assert [len(b) for b in batches].count(1) == 1
         assert all(sum(len(c.red) + len(c.blue) for c in b)
                    <= counting.BATCH_POINTS for b in batches if len(b) > 1)
-        assert counting._count_cells(cells) == per_cell_brute(cells)
+        assert counting._count_cells(family) == per_cell_brute(cells)
 
 
 class TestNonadaptive:

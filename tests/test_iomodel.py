@@ -1,5 +1,6 @@
 """Analytic I/O accounting: the scan, write and distribution charge rules."""
 
+import numpy as np
 import pytest
 
 from invcount.iomodel import EmParams, IoTally
@@ -45,6 +46,27 @@ class TestScanCharges:
         t = IoTally(EmParams(2048, 32))
         t.charge_write(100, 2)
         assert t.writes == 7 and t.reads == 0
+
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_write_each_is_one_write_per_size(self, block, width):
+        # A ceiling per size, not of the sum: at B = 3 and w = 1, sizes
+        # 1 and 1 are two blocks, not one.
+        rng = np.random.default_rng(block * 10 + width)
+        sizes = rng.integers(0, 200, 500)
+        sizes[::7] = 0
+        params = EmParams(64 * block, block)
+        each, loop = IoTally(params), IoTally(params)
+        each.charge_write_each(sizes, width=width)
+        for n in sizes.tolist():
+            loop.charge_write(n, width=width)
+        assert (each.reads, each.writes) == (loop.reads, loop.writes)
+        assert each.writes > 0
+
+    def test_write_each_of_nothing_is_free(self):
+        t = IoTally(EmParams(2048, 32))
+        t.charge_write_each(np.array([], dtype=np.int64))
+        assert t.total == 0
 
 
 class TestDistribute:
