@@ -134,14 +134,6 @@ class PointSet:
         """
         return _unchecked(self.x[idx], self.y[idx], self.tiebreak[idx], self.color)
 
-    def split(self, labels: np.ndarray, k: int) -> list["PointSet"]:
-        """Subset ``j`` for each label ``j`` in ``range(k)``, in x order
-        (empty where no point has the label).  One gather in label order,
-        x-sorted within each label, then a view per label."""
-        grouped = self._take(np.argsort(labels, kind="stable"))
-        ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-        return [grouped._take(slice(a, b)) for a, b in zip([0] + ends, ends)]
-
 
 def _unchecked(x, y, t, color: str) -> PointSet:
     """A ``PointSet`` over arrays taken from checked point sets, without
@@ -183,9 +175,7 @@ def brute_force_count(red: PointSet, blue: PointSet) -> int:
 
     O(|red| * |blue|) time.  The mask is evaluated a slab of blue points
     at a time, so memory stays O(|red| + MASK_ENTRIES).  This is the
-    ground-truth oracle for every other counter in the package, and the
-    leaf solver of the distribution counter, where one side has at most
-    ``B`` points.
+    ground-truth oracle for every other counter in the package.
     """
     rows = max(1, MASK_ENTRIES // max(len(red), 1))
     total = 0

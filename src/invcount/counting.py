@@ -1,23 +1,40 @@
 """Exact dominance counters: non-adaptive, capped, and adaptive.
 
 The non-adaptive counter is a distribution-sort style recursion.  The
-smaller color (red on a tie) is cut by key rank into ``f ~ sqrt(M/B)``
-chunks at ranks ``j * ns // f``, and one sort of both colors by key gives
-every point a chunk label: the chunk of its own rank, or for the other
-color the chunk of the number of split-side keys strictly below its own.
-A blue labelled below a red then has the smaller key and dominates the
-red exactly when it lies to its right; one synchronized scan counts those
-pairs, and each label recurses on its own.  Tie rule: a blue whose key
-equals two or more split-side reds takes the label of the last of them,
-so no red of equal key is labelled above it.  Once the smaller side of a
-subproblem has at most ``B`` points, both sides are charged as read and
-the leaf counts its pairs with the strict dominance mask of
-``core.brute_force_count``: O(B n) RAM work on data already in memory,
-with no further I/O.
+smaller color of a subproblem (red on a tie) is cut by key rank into
+``f ~ sqrt(M/B)`` chunks at ranks ``j * ns // f``, and every point gets a
+chunk label: the chunk of its own rank, or for the other color the chunk
+of the number of split-side keys strictly below its own.  A blue labelled
+below a red then has the smaller key and dominates the red exactly when
+it lies to its right; one synchronized scan counts those pairs, and each
+label is a subproblem of its own.  Tie rule: a blue whose key equals two
+or more split-side reds takes the label of the last of them, so no red of
+equal key is labelled above it.  Once the smaller side of a subproblem
+has at most ``B`` points, both sides are charged as read and every pair
+is tested with ``core.dominance_mask``: O(B n) RAM work on data already
+in memory, with no further I/O.
 
-The capped counter builds red-blue cells for a cap ``K`` and runs the
-non-adaptive counter inside each cell; it may report failure, which
-certifies the true count exceeds ``K``.
+The recursion runs level by level, as distribution sweeping does, over
+every cell of a batch at once.  A level holds all its subproblems as two
+lists of point numbers, each grouped by subproblem: the X order, by x
+with blue first on equal x, and the K order, by key with red first on an
+equal key.  Both are sorted once, at the root, where a point's key also
+becomes a rank.  A level labels the points by running counts along the K
+order; within a subproblem labels never decrease along it, so it stays
+grouped by child with no work.  The cross-chunk pairs are ``f - 1``
+running counts along the X order, and one stable sort by (subproblem,
+label) groups the X order by child.  So a level costs O(f) linear passes
+and one sort of the X order, and the leaves O(B n) work in chunks of
+pairs.  One ``bincount`` over (subproblem, label, colour) gives every
+bucket size, and ``IoTally``'s array rules charge the level's passes
+from those sizes, with the same charges as a recursion node by node.
+
+The capped counter builds red-blue cells for a cap ``K`` and counts the
+pairs inside each cell; it may report failure, which certifies the true
+count exceeds ``K``.  The I/O round passes its cells to
+``count_nonadaptive`` one batch of ``_batches`` at a time, as two slices
+of the family's flat layout (``cells.RedBlueCells.layout``); each cell
+is a root subproblem, charged as its own recursion.
 
 The adaptive counter runs the capped counter over a doubly-exponential
 cap schedule ``(N*B) * (M/B)**(2**i - 2)``, saturating at ``N**2``, and
@@ -39,7 +56,7 @@ kernel passes, each ending in one stable sort: O(n log^2 n) comparisons,
 and a round is the sum over its batches.  ``merge_count_dominance`` is
 the one-cell case.  The kernel lives in ``core`` beside
 ``core.mergesort_count``, its other user.  Only the I/O-model counters
-reach the distribution recursion.
+reach the distribution counter.
 """
 
 from __future__ import annotations
@@ -52,7 +69,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .cells import Cell, RedBlueCells, build_cells
-from .core import PointSet, brute_force_count, count_position_inversions
+from .core import PointSet, _unchecked, count_position_inversions, dominance_mask
 from .iomodel import EmParams, IoTally, RAM_PARAMS
 
 
@@ -91,17 +108,22 @@ def _key_order(x, y, t, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.lexsort((t[by_x], y[by_x], cell[by_x])), is_red
 
 
+def _batch_bounds(sizes: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Per batch of ``_batches``: ``lo, hi`` and where its blue and its red
+    points start and end in the layout, ``b0, b1, r0, r1``."""
+    offs = np.zeros((2, sizes.shape[1] + 1), dtype=np.int64)
+    np.cumsum(sizes, axis=1, out=offs[:, 1:])
+    offs[1] += offs[0, -1]
+    for lo, hi in _batches(sizes):
+        yield lo, hi, *offs[:, [lo, hi]].ravel().tolist()
+
+
 def _count_cells(family: RedBlueCells) -> int:
     """Domination pairs summed over the cells of ``family``: one kernel
     call per batch, each batch two slices of the family's layout."""
     x, y, t, sizes = family.layout()
-    # Where each cell's blue and red points start in the layout, and the end.
-    offs = np.zeros((2, sizes.shape[1] + 1), dtype=np.int64)
-    np.cumsum(sizes, axis=1, out=offs[:, 1:])
-    offs[1] += offs[0, -1]
     total = 0
-    for lo, hi in _batches(sizes):
-        (b0, r0), (b1, r1) = offs[:, lo], offs[:, hi]
+    for lo, hi, b0, b1, r0, r1 in _batch_bounds(sizes):
         # A batch of every cell is the whole layout, taken without a copy.
         order, is_red = _key_order(*(a[b0:r1] if b1 == r0 else
                                      np.concatenate((a[b0:b1], a[r0:r1]))
@@ -132,84 +154,225 @@ def _fanout(params: EmParams) -> int:
     return min(f, params.max_streams - 1)
 
 
-def _chunk_labels(red: PointSet, blue: PointSet,
-                  f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk label of every red and every blue point; see the module docstring."""
-    nr, nb = len(red), len(blue)
-    side_is_red, ns = nr <= nb, min(nr, nb)
-    # Other-color points sort before split-side points of an equal key, so
-    # a side point's rank is its key position and another point's the
-    # number of side keys strictly below its own.
-    is_side = np.repeat([side_is_red, not side_is_red], [nr, nb])
-    y = np.concatenate([red.y, blue.y])
-    t = np.concatenate([red.tiebreak, blue.tiebreak])
-    order = np.lexsort((is_side, t, y))
-    s = is_side[order]
-    through = np.cumsum(s)
-    rank = through - s
-    if side_is_red:
-        # Tie rule: a blue ranks max(r, le - 1), where ``le`` counts the
-        # side keys at or below its own, through the end of the key's run.
-        y, t = y[order], t[order]
-        tie = (y[1:] == y[:-1]) & (t[1:] == t[:-1])
-        le = np.where(np.append(~tie, True), through, ns)
-        le = np.minimum.accumulate(le[::-1])[::-1]
-        rank = np.where(s, rank, np.maximum(rank, le - 1))
-    labels = np.empty_like(rank)
-    labels[order] = np.searchsorted(np.arange(f) * ns // f, rank, side="right") - 1
-    return labels[:nr], labels[nr:]
+#: Pairs of leaf points one comparison pass holds.
+_LEAF_PAIRS = 2**15
 
 
-def _nonadaptive_rec(red: PointSet, blue: PointSet,
-                     params: EmParams, tally: IoTally, f: int) -> int:
-    nr, nb = len(red), len(blue)
-    if nr == 0 or nb == 0:
-        return 0
-    if min(nr, nb) <= params.block_words:
-        tally.charge_read(nr)
-        tally.charge_read(nb)
-        return brute_force_count(red, blue)
+def _root_orders(red: PointSet, blue: PointSet,
+                 sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The X order, the K order and the key ranks of a batch's points.
 
-    red_labels, blue_labels = _chunk_labels(red, blue, f)
-    reds, blues = red.split(red_labels, f), blue.split(blue_labels, f)
+    A point is numbered by its place in the batch's layout, blue and then
+    red.  The X order sorts by ``(cell, x)``, blue first on equal x; the
+    K order by ``(cell, y, tiebreak)``, red first on an equal key, each
+    colour then in x order.  A key rank numbers the runs of equal ``(cell,
+    y, tiebreak)`` in K order.  Each order is sorted from coordinates
+    gathered for it alone, which are freed on return.
+    """
+    nb, nr = len(blue), len(red)
+    idx = np.int32 if nb + nr < 2**31 else np.intp
 
-    # Distribution pass over the side, then a synchronized counting scan
-    # of its chunks that also distributes the opposite points into buckets.
-    side, other = (reds, blues) if nr <= nb else (blues, reds)
-    tally.charge_distribute(min(nr, nb), [len(c) for c in side])
-    for chunk in side:
-        tally.charge_read(len(chunk))
-    tally.charge_distribute(max(nr, nb), [len(c) for c in other])
+    def keys(first, second, rows, *attrs):
+        # Within a colour each cell's points are in x order, which a
+        # stable sort keeps between equal keys.
+        ks = [np.concatenate((getattr(first, a), getattr(second, a)))
+              for a in attrs]
+        if sizes.shape[1] > 1:
+            cell = np.tile(np.arange(sizes.shape[1], dtype=idx), 2)
+            ks.append(np.repeat(cell, sizes[rows].ravel()))
+        return ks
 
-    # Cross-chunk pairs: a blue labelled below a red has the smaller key,
-    # so it dominates the red exactly when it lies to the red's right.
+    xo = np.lexsort(keys(blue, red, [0, 1], "x")).astype(idx)
+    ks = keys(red, blue, [1, 0], "tiebreak", "y")
+    ko = np.lexsort(ks)
+    run_starts = np.zeros(nb + nr, dtype=bool)
+    for k in ks:
+        k = k[ko]
+        run_starts[1:] |= k[1:] != k[:-1]
+    del ks, k
+    # Renumber from red first to the layout's blue first.
+    ko += nb
+    ko %= nb + nr
+    ko = ko.astype(idx)
+    krank = np.empty(nb + nr, dtype=idx)
+    krank[ko] = np.cumsum(run_starts, dtype=idx)
+    return xo, ko, krank
+
+
+def _leaf_pairs(xo: np.ndarray, krank: np.ndarray, nb: int,
+                sizes: np.ndarray, leaf: np.ndarray) -> int:
+    """Domination pairs inside the ``leaf`` nodes, by testing every pair.
+
+    The test is ``core.dominance_mask`` in rank space: a point's place in
+    the X order stands for its x, where a blue comes before a red of
+    equal x, and its key rank for its key.  The pair list is expanded
+    ``_LEAF_PAIRS`` at a time: O(B n) work when the smaller side of every
+    leaf has at most ``B`` points.
+    """
+    at = np.repeat(leaf, sizes.sum(axis=1))
+    is_red = xo >= nb
+    bpos, rpos = np.flatnonzero(at & ~is_red), np.flatnonzero(at & is_red)
+    bkey, rkey = krank[xo[bpos]], krank[xo[rpos]]
+    # Row i pairs blue bpos[i] with the reds of its node,
+    # rpos[first[i]:first[i] + width[i]].
+    n_blue, n_red = sizes[leaf].T
+    width = np.repeat(n_red, n_blue)
+    first = np.repeat(np.cumsum(n_red) - n_red, n_blue)
+    ends = np.cumsum(width)
+    n_pairs = int(ends[-1]) if len(ends) else 0
+    total = 0
+    for p0 in range(0, n_pairs, _LEAF_PAIRS):
+        p1 = min(p0 + _LEAF_PAIRS, n_pairs)
+        i0, i1 = np.searchsorted(ends, [p0, p1 - 1], side="right")
+        rows = slice(i0, i1 + 1)
+        row_p0 = ends[rows] - width[rows]
+        n = np.minimum(ends[rows], p1) - np.maximum(row_p0, p0)
+        row = np.repeat(np.arange(i0, i1 + 1), n)
+        col = np.arange(p0, p1) - np.repeat(row_p0 - first[rows], n)
+        total += int(np.count_nonzero(dominance_mask(
+            bpos[row], bkey[row], 0, rpos[col], rkey[col], 0)))
+    return total
+
+
+def _labels(ko: np.ndarray, krank: np.ndarray, nb: int, sizes: np.ndarray,
+            node: np.ndarray, f: int) -> np.ndarray:
+    """The chunk label of every point in K order; see the module docstring.
+
+    Ranks are counted along the K order: a side point counts the side
+    points before it in its node, another point those before its run of
+    equal keys.  Red goes first in a run, so ranks, and with them labels,
+    never decrease along a node.
+    """
+    m = len(ko)
+    count = sizes.sum(axis=1)
+    starts = np.cumsum(count) - count
+    side_red = sizes[:, 1] <= sizes[:, 0]
+    is_red = ko >= nb
+    is_side = is_red == side_red[node]
+    through = np.cumsum(is_side, dtype=ko.dtype)
+    before = through - is_side
+    kr = krank[ko]
+    run_starts = np.empty(m, dtype=bool)
+    np.not_equal(kr[1:], kr[:-1], out=run_starts[1:])
+    run_starts[starts] = True
+    del kr
+    rank = np.where(is_side, before,
+                    np.maximum.accumulate(np.where(run_starts, before, 0)))
+    # Tie rule: a blue ranks max(r, le - 1), where ``le`` counts the red
+    # side keys at or below its own, through the end of its run.
+    run_ends = np.append(run_starts[1:], True)
+    del run_starts
+    le = np.minimum.accumulate(np.where(run_ends, through, m)[::-1])[::-1]
+    le -= 1
+    np.maximum(rank, le, out=rank, where=~is_red & side_red[node])
+    del le, run_ends, through
+    rank -= np.repeat(before[starts], count)
+    del before
+    # Chunk j of a node's ns side points starts at rank j * ns // f, so
+    # the label, #{j >= 1 : j * ns // f <= rank}, is this quotient.
+    lab = rank.astype(np.int64)
+    del rank
+    lab += 1
+    lab *= f
+    lab -= 1
+    lab //= np.where(side_red, sizes[:, 1], sizes[:, 0])[node]
+    return np.minimum(lab, f - 1, out=lab)
+
+
+def _cross_pairs(is_red: np.ndarray, label: np.ndarray,
+                 buckets: np.ndarray) -> int:
+    """Pairs of a blue labelled below ``j`` and a red labelled ``j`` to
+    its left in its node, summed over ``j``.  ``is_red`` and ``label``
+    follow the X order; each ``j`` takes one running count of its reds."""
+    f = buckets.shape[1]
+    red_lab, blue_lab = np.where(is_red, label, f), np.where(is_red, f, label)
+    blues_below = np.cumsum(buckets[:, :, 0], axis=1)
     total = 0
     for j in range(1, f):
-        total += int(np.searchsorted(reds[j].x, blue.x[blue_labels < j]).sum())
-    return total + sum(_nonadaptive_rec(r, b, params, tally, f)
-                       for r, b in zip(reds, blues))
+        reds_left = np.cumsum(red_lab == j, dtype=np.int64)
+        total += int(reds_left.sum(where=blue_lab < j))
+        # The running count includes the reds of earlier nodes.
+        reds = buckets[:, j, 1]
+        total -= int(blues_below[:, j - 1] @ (np.cumsum(reds) - reds))
+    return total
 
 
-def count_nonadaptive(red: PointSet, blue: PointSet,
-                      params: EmParams, tally: IoTally) -> int:
-    """Exact domination-pair count by multiway distribution."""
+def _distribute(xo: np.ndarray, ko: np.ndarray, krank: np.ndarray, nb: int,
+                sizes: np.ndarray, params: EmParams, tally: IoTally, f: int) -> int:
+    """The distribution recursion of the module docstring, level by level.
+
+    ``xo`` and ``ko`` list the points of every node of a level in X and
+    in K order, node after node, and ``sizes`` holds each node's blue and
+    red size as one row; a point numbered ``nb`` or more is red.
+    """
+    total = 0
+    label = np.empty(len(krank), dtype=np.min_scalar_type(f))
+    while True:
+        small = sizes.min(axis=1)
+        leaf = (small > 0) & (small <= params.block_words)
+        if leaf.any():
+            tally.charge_read_each(sizes[leaf])
+            total += _leaf_pairs(xo, krank, nb, sizes, leaf)
+        inner = small > params.block_words
+        if not inner.all():
+            keep = np.repeat(inner, sizes.sum(axis=1))
+            xo, ko, sizes = xo[keep], ko[keep], sizes[inner]
+            del keep
+        if not len(sizes):
+            return total
+        nodes = len(sizes)
+        node = np.repeat(np.arange(nodes, dtype=xo.dtype), sizes.sum(axis=1))
+        lab = _labels(ko, krank, nb, sizes, node, f)
+        buckets = np.bincount(node * np.int64(2 * f) + lab * 2 + (ko >= nb),
+                              minlength=2 * f * nodes).reshape(nodes, f, 2)
+        label[ko] = lab
+        del lab
+        # Each colour's distribution pass into its f buckets, and the
+        # counting scan that reads the side's chunks again.
+        tally.charge_distribute(sizes, buckets)
+        side = (sizes[:, 1] <= sizes[:, 0]).view(np.int8)
+        tally.charge_read_each(buckets[np.arange(nodes), :, side])
+        lx = label[xo]
+        total += _cross_pairs(xo >= nb, lx, buckets)
+        # The children: the X order partitioned stably by (node, label).
+        # The K order is grouped so already, as labels never decrease
+        # along a node.
+        xo = xo[np.argsort(node * np.int64(f) + lx, kind="stable")]
+        del node, lx
+        sizes = buckets.reshape(nodes * f, 2)
+
+
+def count_nonadaptive(red: PointSet, blue: PointSet, params: EmParams,
+                      tally: IoTally, sizes: Optional[np.ndarray] = None) -> int:
+    """Exact domination-pair count by multiway distribution.
+
+    With ``sizes``, ``red`` and ``blue`` hold a batch of cells in the
+    layout of ``cells.RedBlueCells.layout``, each colour cell after cell,
+    and ``sizes`` the blue and the red size of each cell as two rows: the
+    count is the sum over the cells, each charged as its own recursion.
+    """
     f = _fanout(params)
     if f < 2:
         raise ValueError("memory too small for fanout 2 plus an input stream")
-    return _nonadaptive_rec(red, blue, params, tally, f)
+    if sizes is None:
+        sizes = np.array([[len(blue)], [len(red)]])
+    xo, ko, krank = _root_orders(red, blue, sizes)
+    return _distribute(xo, ko, krank, len(blue), sizes.T, params, tally, f)
 
 
 def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
-            count: Callable[[RedBlueCells], int]) -> Optional[int]:
+            count: Callable[[RedBlueCells], int],
+            count_input: Callable[[PointSet, PointSet], int]) -> Optional[int]:
     """One guessing round: ``count`` the pairs in the cells for ``cap``.
 
     A cap that cannot be exceeded skips the cell construction entirely
-    and counts the input as one cell.
+    and counts the input as one cell with ``count_input``, which reads
+    the two sets as they are rather than a gathered copy.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if cap >= len(red) * len(blue):
-        return count(RedBlueCells(cap, [Cell(red, blue)]))
+        return count_input(red, blue)
     built = build_cells(red, blue, cap, tally)
     if built.failed:
         return None
@@ -219,8 +382,16 @@ def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
 def count_capped(red: PointSet, blue: PointSet, cap: int,
                  params: EmParams, tally: IoTally) -> Optional[int]:
     """Exact count, or ``None`` (failure) only when the true count > cap."""
-    return _capped(red, blue, cap, tally, lambda family: sum(
-        count_nonadaptive(c.red, c.blue, params, tally) for c in family.cells))
+    def count(family: RedBlueCells) -> int:
+        x, y, t, sizes = family.layout()
+        return sum(count_nonadaptive(
+            _unchecked(x[r0:r1], y[r0:r1], t[r0:r1], "red"),
+            _unchecked(x[b0:b1], y[b0:b1], t[b0:b1], "blue"),
+            params, tally, sizes[:, lo:hi])
+            for lo, hi, b0, b1, r0, r1 in _batch_bounds(sizes))
+
+    return _capped(red, blue, cap, tally, count, lambda r, b: count_nonadaptive(
+        r, b, params, tally))
 
 
 def _saturating(n: int, cap_at: Callable[[int], int]) -> Iterator[int]:
@@ -288,7 +459,8 @@ def count_adaptive(red: PointSet, blue: PointSet,
 
 def count_capped_ram(red: PointSet, blue: PointSet, cap: int) -> Optional[int]:
     """Comparison-model capped round: its cells counted in batches."""
-    return _capped(red, blue, cap, IoTally(RAM_PARAMS), _count_cells)
+    return _capped(red, blue, cap, IoTally(RAM_PARAMS), _count_cells,
+                   merge_count_dominance)
 
 
 def count_adaptive_ram(red: PointSet, blue: PointSet) -> AdaptiveCount:

@@ -8,12 +8,15 @@ and reproducible bit-for-bit.  The tally has three charge rules:
 
 * ``charge_read``: scanning ``n`` records of ``w`` words charges
   ``ceil(n*w/B)`` reads;
-* ``charge_write``: materializing them charges ``ceil(n*w/B)`` writes
-  (``charge_write_each`` charges an array of record counts, one ceiling
-  per count);
+* ``charge_write``: materializing them charges ``ceil(n*w/B)`` writes;
 * ``charge_distribute``: a multiway distribution pass charges one input
   scan plus the write blocks of every bucket plus one flush block per
   bucket.
+
+``charge_read_each`` and ``charge_write_each`` take an array of record
+counts and charge one ceiling per count, and ``charge_distribute`` takes
+arrays of input and bucket sizes, so a caller charges a whole level of
+passes in one call and no ceiling is computed outside this module.
 
 Any in-memory processing of a working set that fits in ``M`` words is
 free.  Each open stream reserves two blocks (double buffering), so at
@@ -24,7 +27,6 @@ its fanout from that budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -77,19 +79,26 @@ class IoTally:
     def charge_write(self, n_records: int, width: int = POINT_WIDTH) -> None:
         self.writes += self.params.blocks(n_records, width)
 
-    def charge_write_each(self, n_records: np.ndarray,
-                          width: int = POINT_WIDTH) -> None:
+    def charge_read_each(self, n_records, width: int = POINT_WIDTH) -> None:
+        """``charge_read`` once per entry: a ceiling per count, not of the sum."""
+        self.reads += self._blocks_each(n_records, width)
+
+    def charge_write_each(self, n_records, width: int = POINT_WIDTH) -> None:
         """``charge_write`` once per entry: a ceiling per count, not of the sum."""
+        self.writes += self._blocks_each(n_records, width)
+
+    def _blocks_each(self, n_records, width: int) -> int:
         sizes = np.asarray(n_records, dtype=np.int64)
-        self.writes += int(self.params.blocks(sizes, width).sum())
+        return int(self.params.blocks(sizes, width).sum())
 
-    def charge_distribute(self, n_records: int, bucket_sizes: Sequence[int]) -> None:
-        """Charge one pass that splits ``n_records`` points into buckets.
+    def charge_distribute(self, n_records, bucket_sizes) -> None:
+        """Charge passes that split ``n_records`` points into buckets.
 
-        One scan of the input, the blocks of every bucket, and one
-        partial-block flush per bucket.
+        One scan of each input, the blocks of every bucket, and one
+        partial-block flush per bucket, empty buckets included.  Either
+        argument may be a count or an array of counts, so one call can
+        charge many passes.
         """
-        self.charge_read(n_records)
-        for size in bucket_sizes:
-            self.charge_write(size)
-        self.writes += len(bucket_sizes)
+        self.charge_read_each(n_records)
+        self.charge_write_each(bucket_sizes)
+        self.writes += int(np.size(bucket_sizes))

@@ -205,20 +205,6 @@ class TestValidation:
                      color="green")
 
 
-class TestSplit:
-    def test_groups_by_label_in_x_order(self):
-        pts = PointSet(np.arange(6), np.array([5.0, 1.0, 4.0, 2.0, 3.0, 0.0]),
-                       np.arange(6), "blue")
-        groups = pts.split(np.array([2, 0, 2, 0, 3, 2]), 5)
-        assert [g.x.tolist() for g in groups] == [[1, 3], [], [0, 2, 5], [4], []]
-        assert [g.y.tolist() for g in groups[2:4]] == [[5.0, 4.0, 0.0], [3.0]]
-        assert all(g.color == "blue" for g in groups)
-
-    def test_empty_set(self):
-        groups = PointSet([], [], []).split(np.empty(0, dtype=np.int64), 3)
-        assert [len(g) for g in groups] == [0, 0, 0]
-
-
 class TestChecksOnEntry:
     """Only points built from outside input run the constructor's checks."""
 

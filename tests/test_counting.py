@@ -138,6 +138,64 @@ class TestBatchedCells:
         assert counting._count_cells(family) == per_cell_brute(cells)
 
 
+@pytest.fixture(scope="module")
+def io_families():
+    """``(red, blue, cap, true count)`` for cell families that range from
+    one batch of small cells to several batches and to one cell larger
+    than a batch; the caps are the true counts, so no build fails."""
+    cases = []
+    for shape, n in [("sorted", 3000), ("reverse", 2600),
+                     ("random_permutation", 2000), ("target_inversions", 9000)]:
+        red, blue = reduction(generate(InstanceSpec(n, shape, seed=5, target=n)))
+        cases.append((red, blue, brute_force_count(red, blue)))
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        red, blue = (tied_points(rng, color) for color in ("red", "blue"))
+        cases.append((red, blue, brute_force_count(red, blue)))
+    return [(red, blue, max(1, kstar), kstar) for red, blue, kstar in cases]
+
+
+class TestBatchedDistribution:
+    """The I/O round's one distribution call per batch of cells."""
+
+    def test_families_cover_batches_and_a_large_cell(self, io_families):
+        sizes = [build_cells(red, blue, cap, IoTally(PARAMS)).layout()[3]
+                 for red, blue, cap, _ in io_families]
+        assert max(len(list(counting._batches(s))) for s in sizes) >= 3
+        assert max(s.sum(axis=0).max() for s in sizes) > counting.BATCH_POINTS
+
+    @pytest.mark.parametrize("params", [EmParams(8, 1), EmParams(64, 2),
+                                        EmParams(1024, 32)],
+                             ids=["M8-B1", "M64-B2", "M1024-B32"])
+    def test_batching_changes_no_charge(self, io_families, params):
+        # The round's charges past the cell build are those of one
+        # count_nonadaptive call per cell.
+        for red, blue, cap, kstar in io_families:
+            built_tally = IoTally(params)
+            built = build_cells(red, blue, cap, built_tally)
+            per_cell = IoTally(params)
+            assert sum(count_nonadaptive(c.red, c.blue, params, per_cell)
+                       for c in built.cells) == kstar
+            tally = IoTally(params)
+            assert count_capped(red, blue, cap, params, tally) == kstar
+            assert (tally.reads - built_tally.reads,
+                    tally.writes - built_tally.writes) == (per_cell.reads,
+                                                           per_cell.writes)
+
+    def test_io_round_reads_the_layout_only(self, monkeypatch):
+        red, blue = reduction(generate(
+            InstanceSpec(3000, "target_inversions", seed=1, target=3000)))
+        kstar = brute_force_count(red, blue)
+        assert build_cells(red, blue, kstar, IoTally(PARAMS)).layout()[3].shape[1] > 1
+
+        def refuse(family):
+            raise AssertionError("the I/O round read RedBlueCells.cells")
+
+        monkeypatch.setattr(RedBlueCells, "cells", property(refuse))
+        assert count_capped(red, blue, kstar, PARAMS, IoTally(PARAMS)) == kstar
+        assert count_adaptive(red, blue, PARAMS, IoTally(PARAMS)).count == kstar
+
+
 class TestNonadaptive:
     def test_single_swap(self):
         red, blue = reduction([2.0, 1.0])
@@ -247,6 +305,35 @@ class TestTiedKeys:
         assert count_nonadaptive(red, blue, params, IoTally(params)) == 0
         assert count_capped(red, blue, 4, params, IoTally(params)) == 0
         assert count_adaptive(red, blue, params, IoTally(params)).count == 0
+
+    # (seed, reds, blues, distinct y) -> (count, reads, writes) at
+    # EmParams (8, 1), (64, 2) and (256, 4).  Red is the split side in
+    # the first and the third input, so the tie rule applies there.
+    PINNED = {
+        (1, 60, 90, 5): [(1595, 2486, 1828), (1595, 612, 489), (1595, 292, 303)],
+        (2, 90, 60, 5): [(1404, 2472, 1812), (1404, 608, 474), (1404, 306, 332)],
+        (3, 70, 70, 1): [(745, 1816, 1308), (745, 490, 364), (745, 208, 174)],
+        (4, 200, 150, 12): [(8141, 7092, 5150), (8141, 1670, 1278),
+                            (8141, 665, 517)],
+    }
+
+    @pytest.mark.parametrize("case", PINNED, ids=str)
+    def test_pinned_tallies(self, case):
+        seed, nr, nb, n_keys = case
+        rng = np.random.default_rng(seed)
+
+        def side(n, color):
+            x = np.sort(rng.choice(nr + nb, size=n, replace=False))
+            return PointSet(x, rng.integers(0, n_keys, n).astype(np.float64),
+                            rng.integers(0, 2, n), color)
+
+        red, blue = side(nr, "red"), side(nb, "blue")
+        got = []
+        for params in (EmParams(8, 1), EmParams(64, 2), EmParams(256, 4)):
+            tally = IoTally(params)
+            got.append((count_nonadaptive(red, blue, params, tally),
+                        tally.reads, tally.writes))
+        assert got == self.PINNED[case]
 
     @settings(max_examples=200, deadline=None)
     @given(colored_points("red"), colored_points("blue"),

@@ -88,6 +88,42 @@ class TestDistribute:
         assert (t.reads, t.writes) == (0, 3)
 
 
+class TestArrayCharges:
+    """Charges over arrays of sizes equal loops of scalar charges."""
+
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    def test_match_scalar_loops(self, block):
+        # Forty nodes of two colours, each split into seven buckets; some
+        # inputs are empty and some buckets, and one node, hold nothing.
+        rng = np.random.default_rng(block)
+        inputs = rng.integers(0, 120, (40, 2))
+        inputs[::6] = 0
+        buckets = rng.integers(0, 40, (40, 7, 2))
+        buckets[::4, 3] = 0
+        buckets[9] = 0
+        params = EmParams(64 * block, block)
+        arrays, loops = IoTally(params), IoTally(params)
+        arrays.charge_read_each(inputs)
+        arrays.charge_write_each(buckets)
+        arrays.charge_distribute(inputs, buckets)
+        for n in inputs.ravel().tolist():
+            loops.charge_read(n)
+        for n in buckets.ravel().tolist():
+            loops.charge_write(n)
+        for n, sizes in zip(inputs.ravel().tolist(),
+                            buckets.transpose(0, 2, 1).reshape(-1, 7).tolist()):
+            loops.charge_distribute(n, sizes)
+        assert (arrays.reads, arrays.writes) == (loops.reads, loops.writes)
+        assert arrays.reads > 0 and arrays.writes > 0
+
+    def test_empty_arrays_are_free(self):
+        t = IoTally(EmParams(2048, 32))
+        t.charge_read_each(np.empty(0, dtype=np.int64))
+        t.charge_distribute(np.empty((0, 2), dtype=np.int64),
+                            np.empty((0, 5, 2), dtype=np.int64))
+        assert t.total == 0
+
+
 class TestSynchronizedScan:
     """A synchronized scan charges each of its streams as one scan."""
 
