@@ -51,6 +51,23 @@ class TestShapes:
         with pytest.raises(ValueError):
             generate(InstanceSpec(10, "duplicates", dup_fraction=frac))
 
+    @pytest.mark.parametrize("spec", [
+        InstanceSpec(10, "target_inversions", target=2.5),
+        InstanceSpec(10, "target_inversions", target=True),
+        InstanceSpec(10, "target_inversions", target=np.float64(7.0)),
+        InstanceSpec(10.0, "target_inversions", target=7),
+        InstanceSpec(True, "sorted"),
+        InstanceSpec(10.5, "random_real"),
+    ])
+    def test_non_integral_size_or_target_rejected(self, spec):
+        with pytest.raises(ValueError):
+            generate(spec)
+
+    def test_numpy_integers_accepted(self):
+        values = generate(InstanceSpec(np.int64(10), "target_inversions",
+                                       target=np.int32(7)))
+        assert mergesort_count(values) == 7
+
     def test_every_declared_shape_generates(self):
         for shape in SHAPES:
             target = 3 if shape == "target_inversions" else None
@@ -78,7 +95,7 @@ class TestInversionTables:
         perm = decode_inversion_table(table)
         assert mergesort_count(perm) == k
         assert sorted(perm) == list(range(n))
-        assert [int(np.sum(perm[i + 1:] < perm[i])) for i in range(n)] == table
+        assert [int(np.sum(perm[i + 1:] < perm[i])) for i in range(n)] == table.tolist()
 
     def test_generate_hits_exact_targets(self):
         for k in (0, 1, 100, 4950):
@@ -98,3 +115,113 @@ class TestInversionTables:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+def loop_table(n, k, rng):
+    """The per-entry draw the chunked table must replay exactly."""
+    remaining = k
+    suffix = n * (n - 1) // 2
+    table = []
+    for i in range(n):
+        cap = n - 1 - i
+        suffix -= cap
+        lo = max(0, remaining - suffix)
+        hi = min(cap, remaining)
+        b = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+        table.append(b)
+        remaining -= b
+    return table
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
+
+#: Targets that put the draw in each regime: none, few or many bound entries.
+REGIMES = {
+    "zero": lambda n, top: 0,
+    "one": lambda n, top: min(1, top),
+    "n": lambda n, top: min(n, top),
+    "half": lambda n, top: top // 2,
+    "max-n": lambda n, top: max(0, top - n),
+    "max-1": lambda n, top: max(0, top - 1),
+    "max": lambda n, top: top,
+}
+
+
+def floor_pow_6_5(n):
+    """Exact floor(n ** 1.2), estimate-dense's target."""
+    k = round(n ** 1.2)
+    while k ** 5 > n ** 6:
+        k -= 1
+    while (k + 1) ** 5 <= n ** 6:
+        k += 1
+    return k
+
+
+def assert_replays_loop(n, k, bit_generator, seed):
+    loop_rng = np.random.Generator(bit_generator(seed))
+    rng = np.random.Generator(bit_generator(seed))
+    table = random_inversion_table(n, k, rng)
+    assert table.dtype == np.int64
+    assert table.tolist() == loop_table(n, k, loop_rng)
+    assert repr(rng.bit_generator.state) == repr(loop_rng.bit_generator.state)
+
+
+class TestChunkedTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from(sorted(REGIMES)), st.sampled_from(BIT_GENERATORS))
+    def test_equals_per_entry_loop(self, n, seed, regime, bit_generator):
+        k = REGIMES[regime](n, n * (n - 1) // 2)
+        assert_replays_loop(n, k, bit_generator, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.data())
+    def test_equals_per_entry_loop_at_any_target(self, n, seed, data):
+        k = data.draw(st.integers(0, n * (n - 1) // 2))
+        assert_replays_loop(n, k, np.random.PCG64, seed)
+
+    @pytest.mark.parametrize("n, k", [(2**17, 2**34 // 4),
+                                      (2**18, floor_pow_6_5(2**18))],
+                             ids=["count-dense", "estimate-dense"])
+    def test_equals_per_entry_loop_at_workload_sizes(self, n, k):
+        assert_replays_loop(n, k, np.random.PCG64, 0)
+
+
+class TestStreamContract:
+    """numpy's array draws replay its scalar draws, which the table relies on.
+
+    ``rng.integers(lows, highs)`` gives the values of one scalar call per
+    element, in order, and leaves the same generator state; a single-value
+    range draws nothing either way.  A numpy release that breaks this
+    fails here by name, before any pinned instance digest.
+    """
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_array_bounds_replay_scalar_calls(self, bit_generator):
+        spec = np.random.default_rng(2024)
+        widths = np.concatenate([
+            np.ones(50, dtype=np.int64),
+            spec.integers(1, 300, size=400),
+            spec.integers(1, 2**31 + 1, size=200),
+            [2**31 - 1, 2**31, 2**16, 2**16 + 1, 1, 2],
+        ])
+        spec.shuffle(widths)
+        lows = spec.integers(0, 1000, size=len(widths))
+        highs = lows + widths
+        scalar_rng = np.random.Generator(bit_generator(7))
+        rng = np.random.Generator(bit_generator(7))
+        start = rng.bit_generator.state
+        scalar = [int(scalar_rng.integers(lo, hi)) for lo, hi in zip(lows, highs)]
+        drawn = rng.integers(lows, highs)
+        assert drawn.tolist() == scalar
+        assert repr(rng.bit_generator.state) == repr(scalar_rng.bit_generator.state)
+        rng.bit_generator.state = start
+        assert rng.integers(lows, highs).tolist() == scalar
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_single_value_ranges_draw_nothing(self, bit_generator):
+        rng = np.random.Generator(bit_generator(3))
+        start = repr(rng.bit_generator.state)
+        assert rng.integers(np.arange(5), np.arange(1, 6)).tolist() == list(range(5))
+        assert int(rng.integers(4, 5)) == 4
+        assert repr(rng.bit_generator.state) == start
