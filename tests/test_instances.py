@@ -147,16 +147,6 @@ REGIMES = {
 }
 
 
-def floor_pow_6_5(n):
-    """Exact floor(n ** 1.2), estimate-dense's target."""
-    k = round(n ** 1.2)
-    while k ** 5 > n ** 6:
-        k -= 1
-    while (k + 1) ** 5 <= n ** 6:
-        k += 1
-    return k
-
-
 def assert_replays_loop(n, k, bit_generator, seed):
     loop_rng = np.random.Generator(bit_generator(seed))
     rng = np.random.Generator(bit_generator(seed))
@@ -180,8 +170,9 @@ class TestChunkedTable:
         k = data.draw(st.integers(0, n * (n - 1) // 2))
         assert_replays_loop(n, k, np.random.PCG64, seed)
 
-    @pytest.mark.parametrize("n, k", [(2**17, 2**34 // 4),
-                                      (2**18, floor_pow_6_5(2**18))],
+    # The count-dense and estimate-dense instances: k = n**2 / 4 and
+    # k = floor(n ** 1.2).
+    @pytest.mark.parametrize("n, k", [(2**17, 2**32), (2**18, 3178688)],
                              ids=["count-dense", "estimate-dense"])
     def test_equals_per_entry_loop_at_workload_sizes(self, n, k):
         assert_replays_loop(n, k, np.random.PCG64, 0)
