@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, _unchecked, dominance_mask
+from .core import PointSet, _integer, _unchecked, dominance_mask
 from .cuttings import build_blue_cutting, build_red_cutting
 from .iomodel import IoTally
 
@@ -142,7 +142,7 @@ def _half_level(build, base: PointSet, base_at: np.ndarray, others: PointSet,
     got = np.bincount(assign + 1, minlength=len(cut.sizes) + 1)[1:]
     kept = got > 0
     n_hosts, n_members = cut.sizes[kept], got[kept]
-    tally.charge_write_each(n_hosts)
+    tally.charge_write(n_hosts)
     hosts = base_at[cut.members[np.repeat(kept, cut.sizes)]]
     members = others_at[by_cell[n_deep:]]
     if cut.orientation == "red":
@@ -154,6 +154,7 @@ def _half_level(build, base: PointSet, base_at: np.ndarray, others: PointSet,
 
 def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedBlueCells:
     """Build red-blue cells for ``cap``; may report failure iff truth > cap."""
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     n0 = max(len(red), len(blue))

@@ -22,6 +22,7 @@ package is tested against the two reference counters.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,6 +49,16 @@ def dominates(b: Point, r: Point) -> bool:
     the inversion definition.
     """
     return bool(dominance_mask(*b, *r))
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integral value is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def ykey_less(y1, t1, y2, t2):

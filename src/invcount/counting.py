@@ -31,10 +31,12 @@ from those sizes, with the same charges as a recursion node by node.
 
 The capped counter builds red-blue cells for a cap ``K`` and counts the
 pairs inside each cell; it may report failure, which certifies the true
-count exceeds ``K``.  The I/O round passes its cells to
-``count_nonadaptive`` one batch of ``_batches`` at a time, as two slices
-of the family's flat layout (``cells.RedBlueCells.layout``); each cell
-is a root subproblem, charged as its own recursion.
+count exceeds ``K``.  Both models' rounds cut the family's flat layout
+(``cells.RedBlueCells.layout``) into the batches of ``_batches`` and
+pass each to one counter call as two slices, its cells' red and blue
+points, and their sizes.  The I/O round's counter is
+``count_nonadaptive``: each cell is a root subproblem, charged as its
+own recursion.
 
 The adaptive counter runs the capped counter over a doubly-exponential
 cap schedule ``(N*B) * (M/B)**(2**i - 2)``, saturating at ``N**2``, and
@@ -42,19 +44,14 @@ stops at the first success.  The total cost telescopes to the cost of the
 last round, so the I/O count adapts to the true number of pairs.
 
 The comparison/RAM-model rounds (``count_capped_ram``, and
-``count_adaptive_ram`` over ``ram_cap_schedule``) count their cells in
-batches of consecutive cells holding about ``BATCH_POINTS`` points, one
-call of the position-inversion kernel per batch.  They read the family's
-flat layout (``cells.RedBlueCells.layout``): a batch is two slices of it,
-its cells' blue points and their red points, so a round makes no
-per-cell object.  Every point carries the id of its cell; positions sort
-by ``(cell, x, blue first on equal x)`` and keys by ``(cell, y,
-tiebreak)``, so a red and a blue of different cells never invert and only
-pairs within a cell count.  A batch of ``n``
-points costs one O(n log n) sort, then the ``ceil(log2 n)`` vectorized
-kernel passes, each ending in one stable sort: O(n log^2 n) comparisons,
-and a round is the sum over its batches.  ``merge_count_dominance`` is
-the one-cell case.  The kernel lives in ``core`` beside
+``count_adaptive_ram`` over ``ram_cap_schedule``) call
+``merge_count_dominance(red, blue, sizes)`` once per batch: one call of
+the position-inversion kernel.  Every point carries the id of its cell;
+positions sort by ``(cell, x, blue first on equal x)`` and keys by
+``(cell, y, tiebreak)``, so only pairs within a cell count.  A batch of
+``n`` points costs one O(n log n) sort, then the ``ceil(log2 n)``
+vectorized kernel passes, each ending in one stable sort: O(n log^2 n)
+comparisons.  The kernel lives in ``core`` beside
 ``core.mergesort_count``, its other user.  Only the I/O-model counters
 reach the distribution counter.
 """
@@ -68,8 +65,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .cells import Cell, RedBlueCells, build_cells
-from .core import PointSet, _unchecked, count_position_inversions, dominance_mask
+from .cells import RedBlueCells, build_cells
+from .core import (PointSet, _integer, _unchecked, count_position_inversions,
+                   dominance_mask)
 from .iomodel import EmParams, IoTally, RAM_PARAMS
 
 
@@ -93,21 +91,6 @@ def _batches(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _key_order(x, y, t, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's key order and red mask for one batch of cells, given
-    in the layout of ``cells.RedBlueCells.layout``.
-
-    Blue comes first in the layout, so the stable sort by ``(cell, x)``
-    puts blue first on equal x: equal-x pairs (never dominating) cannot
-    count.  The batch's coordinates are freed on return, before the
-    kernel allocates its own arrays.
-    """
-    cell = np.repeat(np.tile(np.arange(sizes.shape[1]), 2), sizes.ravel())
-    by_x = np.lexsort((x, cell))
-    is_red = by_x >= sizes[0].sum()
-    return np.lexsort((t[by_x], y[by_x], cell[by_x])), is_red
-
-
 def _batch_bounds(sizes: np.ndarray) -> Iterator[tuple[int, ...]]:
     """Per batch of ``_batches``: ``lo, hi`` and where its blue and its red
     points start and end in the layout, ``b0, b1, r0, r1``."""
@@ -118,31 +101,35 @@ def _batch_bounds(sizes: np.ndarray) -> Iterator[tuple[int, ...]]:
         yield lo, hi, *offs[:, [lo, hi]].ravel().tolist()
 
 
-def _count_cells(family: RedBlueCells) -> int:
-    """Domination pairs summed over the cells of ``family``: one kernel
-    call per batch, each batch two slices of the family's layout."""
+def _count_cells(family: RedBlueCells, count: Callable[..., int]) -> int:
+    """Domination pairs summed over the cells of ``family``: one
+    ``count(red, blue, sizes)`` call per batch, on slices of the layout."""
     x, y, t, sizes = family.layout()
-    total = 0
-    for lo, hi, b0, b1, r0, r1 in _batch_bounds(sizes):
-        # A batch of every cell is the whole layout, taken without a copy.
-        order, is_red = _key_order(*(a[b0:r1] if b1 == r0 else
-                                     np.concatenate((a[b0:b1], a[r0:r1]))
-                                     for a in (x, y, t)), sizes[:, lo:hi])
-        if hi == sizes.shape[1]:
-            # Last batch: free a layout gathered from a list before the
-            # kernel allocates its own arrays.
-            x = y = t = None
-        total += count_position_inversions(order, is_red, ~is_red)
-    return total
+    return sum(count(_unchecked(x[r0:r1], y[r0:r1], t[r0:r1], "red"),
+                     _unchecked(x[b0:b1], y[b0:b1], t[b0:b1], "blue"),
+                     sizes[:, lo:hi])
+               for lo, hi, b0, b1, r0, r1 in _batch_bounds(sizes))
 
 
-def merge_count_dominance(red: PointSet, blue: PointSet) -> int:
+def merge_count_dominance(red: PointSet, blue: PointSet,
+                          sizes: Optional[np.ndarray] = None) -> int:
     """Exact domination-pair count in O(n log^2 n) comparisons.
 
-    The one-cell case of the comparison-model rounds' batched counter;
-    independent of the distribution-based recursion.
+    ``sizes`` reads as in ``count_nonadaptive``: the sum over a batch of
+    cells.  Blue goes first, so the stable sort by ``(cell, x)`` puts blue
+    first on equal x: equal-x pairs (never dominating) cannot count.  The
+    gathered coordinates are freed before the kernel allocates its own.
     """
-    return _count_cells(RedBlueCells(len(red) * len(blue), [Cell(red, blue)]))
+    if sizes is None:
+        sizes = np.array([[len(blue)], [len(red)]])
+    x, y, t = (np.concatenate((getattr(blue, a), getattr(red, a)))
+               for a in ("x", "y", "tiebreak"))
+    cell = np.repeat(np.tile(np.arange(sizes.shape[1]), 2), sizes.ravel())
+    by_x = np.lexsort((x, cell))
+    is_red = by_x >= len(blue)
+    order = np.lexsort((t[by_x], y[by_x], cell[by_x]))
+    del x, y, t, cell, by_x
+    return count_position_inversions(order, is_red, ~is_red)
 
 
 def _fanout(params: EmParams) -> int:
@@ -311,7 +298,7 @@ def _distribute(xo: np.ndarray, ko: np.ndarray, krank: np.ndarray, nb: int,
         small = sizes.min(axis=1)
         leaf = (small > 0) & (small <= params.block_words)
         if leaf.any():
-            tally.charge_read_each(sizes[leaf])
+            tally.charge_read(sizes[leaf])
             total += _leaf_pairs(xo, krank, nb, sizes, leaf)
         inner = small > params.block_words
         if not inner.all():
@@ -331,7 +318,7 @@ def _distribute(xo: np.ndarray, ko: np.ndarray, krank: np.ndarray, nb: int,
         # counting scan that reads the side's chunks again.
         tally.charge_distribute(sizes, buckets)
         side = (sizes[:, 1] <= sizes[:, 0]).view(np.int8)
-        tally.charge_read_each(buckets[np.arange(nodes), :, side])
+        tally.charge_read(buckets[np.arange(nodes), :, side])
         lx = label[xo]
         total += _cross_pairs(xo >= nb, lx, buckets)
         # The children: the X order partitioned stably by (node, label).
@@ -361,37 +348,30 @@ def count_nonadaptive(red: PointSet, blue: PointSet, params: EmParams,
 
 
 def _capped(red: PointSet, blue: PointSet, cap: int, tally: IoTally,
-            count: Callable[[RedBlueCells], int],
-            count_input: Callable[[PointSet, PointSet], int]) -> Optional[int]:
-    """One guessing round: ``count`` the pairs in the cells for ``cap``.
+            count: Callable[..., int]) -> Optional[int]:
+    """One guessing round: the pairs in the cells for ``cap``, by one
+    ``count(red, blue, sizes)`` call per batch of ``_count_cells``.
 
     A cap that cannot be exceeded skips the cell construction entirely
-    and counts the input as one cell with ``count_input``, which reads
+    and counts the input as one cell, ``count(red, blue)``, which reads
     the two sets as they are rather than a gathered copy.
     """
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if cap >= len(red) * len(blue):
-        return count_input(red, blue)
+        return count(red, blue)
     built = build_cells(red, blue, cap, tally)
     if built.failed:
         return None
-    return count(built)
+    return _count_cells(built, count)
 
 
 def count_capped(red: PointSet, blue: PointSet, cap: int,
                  params: EmParams, tally: IoTally) -> Optional[int]:
     """Exact count, or ``None`` (failure) only when the true count > cap."""
-    def count(family: RedBlueCells) -> int:
-        x, y, t, sizes = family.layout()
-        return sum(count_nonadaptive(
-            _unchecked(x[r0:r1], y[r0:r1], t[r0:r1], "red"),
-            _unchecked(x[b0:b1], y[b0:b1], t[b0:b1], "blue"),
-            params, tally, sizes[:, lo:hi])
-            for lo, hi, b0, b1, r0, r1 in _batch_bounds(sizes))
-
-    return _capped(red, blue, cap, tally, count, lambda r, b: count_nonadaptive(
-        r, b, params, tally))
+    return _capped(red, blue, cap, tally, lambda r, b, sizes=None: count_nonadaptive(
+        r, b, params, tally, sizes))
 
 
 def _saturating(n: int, cap_at: Callable[[int], int]) -> Iterator[int]:
@@ -459,8 +439,7 @@ def count_adaptive(red: PointSet, blue: PointSet,
 
 def count_capped_ram(red: PointSet, blue: PointSet, cap: int) -> Optional[int]:
     """Comparison-model capped round: its cells counted in batches."""
-    return _capped(red, blue, cap, IoTally(RAM_PARAMS), _count_cells,
-                   merge_count_dominance)
+    return _capped(red, blue, cap, IoTally(RAM_PARAMS), merge_count_dominance)
 
 
 def count_adaptive_ram(red: PointSet, blue: PointSet) -> AdaptiveCount:

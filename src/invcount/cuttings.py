@@ -98,7 +98,6 @@ class StaircaseCutting:
     """
 
     orientation: str
-    k: int
     outward: np.ndarray        # shape (t, 3): x, y, y-tiebreak
     members: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
@@ -169,7 +168,6 @@ def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> Staircas
     # the cell grouping), so an aborted build costs exactly its scans.
     return StaircaseCutting(
         orientation=orientation,
-        k=k,
         outward=outward,
         members=members,
         sizes=sizes,

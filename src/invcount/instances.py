@@ -12,12 +12,13 @@ entries whose bounds bind the draw to the target cost a scalar call.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .core import _integer
 
 SHAPES = (
     "sorted",
@@ -133,16 +134,6 @@ def decode_inversion_table(table: Sequence[int] | np.ndarray) -> np.ndarray:
         rank[b] += pos
         del key, pos
     return rank.astype(np.float64)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a bool or a non-integral value is a ValueError."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def generate(spec: InstanceSpec) -> np.ndarray:

@@ -13,10 +13,10 @@ and reproducible bit-for-bit.  The tally has three charge rules:
   scan plus the write blocks of every bucket plus one flush block per
   bucket.
 
-``charge_read_each`` and ``charge_write_each`` take an array of record
-counts and charge one ceiling per count, and ``charge_distribute`` takes
-arrays of input and bucket sizes, so a caller charges a whole level of
-passes in one call and no ceiling is computed outside this module.
+Each rule is one method that takes a count or an array of counts and
+charges one ceiling per count, not of the sum, so a caller charges a
+whole level of passes in one call and no ceiling is computed outside
+this module.
 
 Any in-memory processing of a working set that fits in ``M`` words is
 free.  Each open stream reserves two blocks (double buffering), so at
@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer
+
 #: Words needed to store one planar point (index, value).
 POINT_WIDTH = 2
 
@@ -42,7 +44,8 @@ class EmParams:
     block_words: int
 
     def __post_init__(self):
-        if self.block_words < 1:
+        _integer(self.memory_words, "memory_words")
+        if _integer(self.block_words, "block_words") < 1:
             raise ValueError("block size must be at least one word")
         if self.memory_words < 2 * self.block_words:
             raise ValueError("memory must hold at least two blocks")
@@ -73,21 +76,13 @@ class IoTally:
     def total(self) -> int:
         return self.reads + self.writes
 
-    def charge_read(self, n_records: int, width: int = POINT_WIDTH) -> None:
-        self.reads += self.params.blocks(n_records, width)
+    def charge_read(self, n_records, width: int = POINT_WIDTH) -> None:
+        self.reads += self._blocks(n_records, width)
 
-    def charge_write(self, n_records: int, width: int = POINT_WIDTH) -> None:
-        self.writes += self.params.blocks(n_records, width)
+    def charge_write(self, n_records, width: int = POINT_WIDTH) -> None:
+        self.writes += self._blocks(n_records, width)
 
-    def charge_read_each(self, n_records, width: int = POINT_WIDTH) -> None:
-        """``charge_read`` once per entry: a ceiling per count, not of the sum."""
-        self.reads += self._blocks_each(n_records, width)
-
-    def charge_write_each(self, n_records, width: int = POINT_WIDTH) -> None:
-        """``charge_write`` once per entry: a ceiling per count, not of the sum."""
-        self.writes += self._blocks_each(n_records, width)
-
-    def _blocks_each(self, n_records, width: int) -> int:
+    def _blocks(self, n_records, width: int) -> int:
         sizes = np.asarray(n_records, dtype=np.int64)
         return int(self.params.blocks(sizes, width).sum())
 
@@ -99,6 +94,6 @@ class IoTally:
         argument may be a count or an array of counts, so one call can
         charge many passes.
         """
-        self.charge_read_each(n_records)
-        self.charge_write_each(bucket_sizes)
+        self.charge_read(n_records)
+        self.charge_write(bucket_sizes)
         self.writes += int(np.size(bucket_sizes))

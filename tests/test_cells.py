@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from invcount import (EmParams, InstanceSpec, IoTally, PairSampler,
                       RAM_PARAMS, audit_cells, brute_force_count,
                       build_cells, count_capped, counting, dominates,
-                      generate, mergesort_count, reduce_inversions)
+                      generate, merge_count_dominance, mergesort_count,
+                      reduce_inversions)
 from invcount.approx import middle_regime_cap
 from invcount.cells import Cell, RedBlueCells
 from invcount.core import PointSet
@@ -46,6 +47,13 @@ class TestContract:
         red, blue = reduce_inversions([2.0, 1.0])
         with pytest.raises(ValueError):
             build_cells(red, blue, 0, IoTally(RAM_PARAMS))
+
+    @pytest.mark.parametrize("cap", [True, 2.5, 4.0, float("inf"), None],
+                             ids=["bool", "fraction", "float", "inf", "none"])
+    def test_cap_must_be_an_integer(self, cap):
+        red, blue = reduce_inversions(generate(InstanceSpec(64, "reverse")))
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            build_cells(red, blue, cap, IoTally(RAM_PARAMS))
 
     def test_empty_input(self):
         _, _, built = build([], 5)
@@ -228,7 +236,8 @@ class TestLayout:
             cells += len(read.cells)
             for a, b in zip(fresh.layout(), read.layout()):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert counting._count_cells(fresh) == counting._count_cells(read)
+            assert (counting._count_cells(fresh, merge_count_dominance)
+                    == counting._count_cells(read, merge_count_dominance))
             samplers = PairSampler(fresh), PairSampler(read)
             for name in self.SAMPLER:
                 a, b = (getattr(s, name) for s in samplers)
@@ -262,11 +271,11 @@ class TestLayout:
                                        target=2 * self.N))
         red, blue = reduce_inversions(values)
         built = build_cells(red, blue, 16 * self.N, IoTally(RAM_PARAMS))
-        before = counting._count_cells(built)
+        before = counting._count_cells(built, merge_count_dominance)
         extra = Cell(red._take(slice(0, 40)), blue._take(slice(0, 40)))
         assert brute_force_count(extra.red, extra.blue) > 0
         built.cells.append(extra)
-        assert counting._count_cells(built) == before + brute_force_count(
-            extra.red, extra.blue)
+        assert counting._count_cells(built, merge_count_dominance) == (
+            before + brute_force_count(extra.red, extra.blue))
         assert PairSampler(built).total == sum(
             len(c.red) * len(c.blue) for c in built.cells)

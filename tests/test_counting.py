@@ -95,20 +95,28 @@ def per_cell_brute(cells):
     return sum(brute_force_count(c.red, c.blue) for c in cells)
 
 
+def io_counter(params):
+    """The I/O round's batch counter at ``params``, on a fresh tally."""
+    return lambda red, blue, sizes: count_nonadaptive(red, blue, params,
+                                                      IoTally(params), sizes)
+
+
 class TestBatchedCells:
-    """The comparison-model rounds' counter of a cell family, by batches."""
+    """The rounds' counting of a cell family, by batches."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.builds(Cell, colored_points("red"), colored_points("blue")),
                     max_size=6),
-           st.sampled_from([1, 16, 48, counting.BATCH_POINTS]))
-    def test_matches_per_cell_brute(self, cells, bound):
+           st.sampled_from([1, 16, 48, counting.BATCH_POINTS]),
+           st.sampled_from([merge_count_dominance, io_counter(EmParams(64, 2)),
+                            io_counter(EmParams(1024, 32))]))
+    def test_matches_per_cell_brute(self, cells, bound, count):
         # Cells share one narrow grid, so reds and blues of different
         # cells dominate each other, x repeats across colours and keys
         # repeat; a side may be empty, and the small bounds put one cell
         # or several batches over the bound.
         with mock.patch.object(counting, "BATCH_POINTS", bound):
-            assert (counting._count_cells(RedBlueCells(1, cells=cells))
+            assert (counting._count_cells(RedBlueCells(1, cells=cells), count)
                     == per_cell_brute(cells))
 
     def test_pairs_across_cells_never_count(self):
@@ -121,7 +129,8 @@ class TestBatchedCells:
         assert dominates(cells[1].blue.point(0), cells[0].red.point(0))
         assert dominates(cells[0].blue.point(0), cells[1].red.point(0))
         assert per_cell_brute(cells) == 1
-        assert counting._count_cells(RedBlueCells(1, cells=cells)) == 1
+        assert counting._count_cells(RedBlueCells(1, cells=cells),
+                                     merge_count_dominance) == 1
 
     def test_large_cell_alone_among_several_batches(self):
         rng = np.random.default_rng(7)
@@ -135,7 +144,8 @@ class TestBatchedCells:
         assert [len(b) for b in batches].count(1) == 1
         assert all(sum(len(c.red) + len(c.blue) for c in b)
                    <= counting.BATCH_POINTS for b in batches if len(b) > 1)
-        assert counting._count_cells(family) == per_cell_brute(cells)
+        assert (counting._count_cells(family, merge_count_dominance)
+                == per_cell_brute(cells))
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +191,31 @@ class TestBatchedDistribution:
             assert (tally.reads - built_tally.reads,
                     tally.writes - built_tally.writes) == (per_cell.reads,
                                                            per_cell.writes)
+
+    @pytest.mark.parametrize("ram", [True, False], ids=["ram", "io"])
+    def test_one_counter_call_per_batch(self, monkeypatch, ram):
+        # The RAM round calls merge_count_dominance and the I/O round
+        # count_nonadaptive once per batch, each with the batch's slices.
+        red, blue = reduction(generate(
+            InstanceSpec(3000, "target_inversions", seed=1, target=3000)))
+        kstar = brute_force_count(red, blue)
+        sizes = build_cells(red, blue, kstar, IoTally(PARAMS)).layout()[3]
+        batches = list(counting._batches(sizes))
+        assert len(batches) > 1
+        name = "merge_count_dominance" if ram else "count_nonadaptive"
+        counter, calls = getattr(counting, name), []
+
+        def spy(r, b, *args):
+            calls.append(args[-1])
+            return counter(r, b, *args)
+
+        monkeypatch.setattr(counting, name, spy)
+        got = (count_capped_ram(red, blue, kstar) if ram else
+               count_capped(red, blue, kstar, PARAMS, IoTally(PARAMS)))
+        assert got == kstar
+        assert len(calls) == len(batches)
+        for batch_sizes, (lo, hi) in zip(calls, batches):
+            assert np.array_equal(batch_sizes, sizes[:, lo:hi])
 
     def test_io_round_reads_the_layout_only(self, monkeypatch):
         red, blue = reduction(generate(
@@ -253,6 +288,24 @@ class TestCapped:
             count_capped(red, blue, 0, PARAMS, IoTally(PARAMS))
         with pytest.raises(ValueError):
             count_capped_ram(red, blue, 0)
+
+    @pytest.mark.parametrize("cap", [True, 2.5, 4.0, float("inf"), "4"],
+                             ids=["bool", "fraction", "float", "inf", "str"])
+    def test_cap_must_be_an_integer(self, cap):
+        # A bool cap used to run a round at cap 1, a float one to fail
+        # inside the sweep, and an infinite one to count everything.
+        red, blue = reduction(generate(InstanceSpec(64, "random_permutation", seed=5)))
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            count_capped(red, blue, cap, PARAMS, IoTally(PARAMS))
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            count_capped_ram(red, blue, cap)
+
+    def test_numpy_integer_cap_accepted(self):
+        values = generate(InstanceSpec(300, "random_permutation", seed=2))
+        red, blue = reduction(values)
+        kstar = brute_force_count(red, blue)
+        assert count_capped(red, blue, np.int64(kstar), PARAMS, IoTally(PARAMS)) == kstar
+        assert count_capped_ram(red, blue, np.int32(kstar)) == kstar
 
     def test_unbeatable_cap_skips_construction(self):
         red, blue = reduction(generate(InstanceSpec(128, "reverse")))

@@ -96,7 +96,9 @@ def classify_one(cut, q: Point) -> int:
 
 
 class TestClassify:
-    def _cutting(self, n=120, k=8, seed=3):
+    K = 8
+
+    def _cutting(self, n=120, k=K, seed=3):
         red, blue = reduce_inversions(generate(
             InstanceSpec(n, "random_permutation", seed=seed)))
         return red, blue, build_red_cutting(red, k, IoTally(PARAMS))
@@ -115,14 +117,14 @@ class TestClassify:
         red, _, cut = self._cutting()
         # Dominates every base point: right of and below all of them.
         q = Point(int(red.x[-1]) + 1, float(red.y.min()) - 1.0, -1)
-        assert query_coverage(cut, red, q) == len(red) >= 2 * cut.k + 1
+        assert query_coverage(cut, red, q) == len(red) >= 2 * self.K + 1
         assert classify_one(cut, q) == -1
 
     def test_shallow_queries_always_assigned(self):
         red, blue, cut = self._cutting()
         assign = cut.classify_many(blue)
         for i in range(len(blue)):
-            if query_coverage(cut, red, blue.point(i)) < cut.k:
+            if query_coverage(cut, red, blue.point(i)) < self.K:
                 assert assign[i] >= 0
 
     def test_assigned_queries_are_not_too_deep(self):
@@ -130,7 +132,7 @@ class TestClassify:
         assign = cut.classify_many(blue)
         for i in range(len(blue)):
             if assign[i] >= 0:
-                assert query_coverage(cut, red, blue.point(i)) < 2 * cut.k
+                assert query_coverage(cut, red, blue.point(i)) < 2 * self.K
 
     def test_vectorized_matches_scalar(self):
         # One batch over every query agrees with one call per query point.

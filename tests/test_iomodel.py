@@ -15,6 +15,20 @@ class TestParams:
         with pytest.raises(ValueError):
             EmParams(memory_words=64, block_words=0)
 
+    @pytest.mark.parametrize("memory, block", [
+        (1024, True), (True, 1), (1024.0, 32), (1024, 32.0), (1024, 2.5),
+        (float("inf"), 32), (1024, "32"), (np.float64(1024), 32)],
+        ids=["bool-B", "bool-M", "float-M", "float-B", "fraction-B", "inf-M",
+             "str-B", "numpy-float-M"])
+    def test_sizes_must_be_integers(self, memory, block):
+        # EmParams(1024, True) used to count with B = 1.
+        with pytest.raises(ValueError, match="must be an integer"):
+            EmParams(memory, block)
+
+    def test_numpy_integer_sizes_accepted(self):
+        p = EmParams(np.int64(2048), np.int32(32))
+        assert p.max_streams == 32 and p.blocks(100, 2) == 7
+
     def test_max_streams(self):
         assert EmParams(2048, 32).max_streams == 32
         assert EmParams(64, 32).max_streams == 1
@@ -50,22 +64,25 @@ class TestScanCharges:
     @pytest.mark.parametrize("block", [1, 3, 32])
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_write_each_is_one_write_per_size(self, block, width):
-        # A ceiling per size, not of the sum: at B = 3 and w = 1, sizes
-        # 1 and 1 are two blocks, not one.
+        # Reads and writes over an array charge a ceiling per size, not of
+        # the sum: at B = 3 and w = 1, sizes 1 and 1 are two blocks, not one.
         rng = np.random.default_rng(block * 10 + width)
         sizes = rng.integers(0, 200, 500)
         sizes[::7] = 0
         params = EmParams(64 * block, block)
         each, loop = IoTally(params), IoTally(params)
-        each.charge_write_each(sizes, width=width)
+        each.charge_read(sizes, width=width)
+        each.charge_write(sizes[::-1], width=width)
         for n in sizes.tolist():
+            loop.charge_read(n, width=width)
             loop.charge_write(n, width=width)
         assert (each.reads, each.writes) == (loop.reads, loop.writes)
-        assert each.writes > 0
+        assert each.reads > 0 and each.writes > 0
 
     def test_write_each_of_nothing_is_free(self):
         t = IoTally(EmParams(2048, 32))
-        t.charge_write_each(np.array([], dtype=np.int64))
+        t.charge_read(np.array([], dtype=np.int64))
+        t.charge_write(np.array([], dtype=np.int64))
         assert t.total == 0
 
 
@@ -103,8 +120,8 @@ class TestArrayCharges:
         buckets[9] = 0
         params = EmParams(64 * block, block)
         arrays, loops = IoTally(params), IoTally(params)
-        arrays.charge_read_each(inputs)
-        arrays.charge_write_each(buckets)
+        arrays.charge_read(inputs)
+        arrays.charge_write(buckets)
         arrays.charge_distribute(inputs, buckets)
         for n in inputs.ravel().tolist():
             loops.charge_read(n)
@@ -118,7 +135,7 @@ class TestArrayCharges:
 
     def test_empty_arrays_are_free(self):
         t = IoTally(EmParams(2048, 32))
-        t.charge_read_each(np.empty(0, dtype=np.int64))
+        t.charge_read(np.empty(0, dtype=np.int64))
         t.charge_distribute(np.empty((0, 2), dtype=np.int64),
                             np.empty((0, 5, 2), dtype=np.int64))
         assert t.total == 0
