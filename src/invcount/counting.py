@@ -71,7 +71,7 @@ from .core import (PointSet, _integer, _unchecked, count_position_inversions,
 from .iomodel import EmParams, IoTally, RAM_PARAMS
 
 
-#: Points a batch of cells gathers for one kernel call; a larger cell is
+#: Points a batch of cells holds for one counter call; a larger cell is
 #: a batch of its own.  Larger batches ran no faster and held more memory:
 #: on the exact round of a 2^15-point estimate, a bound of 2^16 raised
 #: peak RSS by about 4 MB and one batch for all cells by about 9 MB.
