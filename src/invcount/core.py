@@ -13,10 +13,11 @@ carries a ``tiebreak`` (its original index) and all vertical comparisons
 use the lexicographic key ``(value, tiebreak)``, which is a strict total
 order.
 
-Two reference counters live here: an exhaustive O(n^2) enumeration and an
-O(n log^2 n) counter that runs the level-by-level position-inversion kernel,
-``count_position_inversions``, which also lives here; the comparison-model
-counters of ``counting`` run the same kernel.  Everything else in the
+Two reference counters live here: an exhaustive O(n^2) enumeration and a
+counter that runs the level-by-level position-inversion kernel,
+``count_position_inversions``, in O(n log n) radix work after one sort; the
+kernel also lives here, and the comparison-model counters of ``counting``
+run it too.  Everything else in the
 package is tested against the two reference counters.
 """
 
@@ -198,6 +199,39 @@ def brute_force_count(red: PointSet, blue: PointSet) -> int:
     return int(total)
 
 
+def _radix_argsort(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``.
+
+    One stable pass per 16-bit digit of ``bound - 1``, least significant
+    first, each over the digit cast to the narrowest unsigned dtype, which
+    numpy sorts by radix: O(n) per pass.
+    """
+    bits = max(bound - 1, 0).bit_length()
+
+    def digit(k, shift):
+        return (k >> shift).astype(np.uint8 if bits - shift <= 8 else np.uint16)
+
+    perm = np.argsort(digit(key, 0), kind="stable")
+    for shift in range(16, bits, 16):
+        perm = perm[np.argsort(digit(key[perm], shift), kind="stable")]
+    return perm
+
+
+#: Entries per descent below which keys count as presorted.  On the
+#: kernel's keys numpy's timsort, which merges natural runs, beat the radix
+#: passes down to about 14 entries per descent and lost 2-4x at 4.
+PRESORTED_RUN = 8
+
+
+def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``:
+    by timsort when the keys are presorted, as few inversions leave them,
+    and by ``_radix_argsort`` otherwise."""
+    if np.count_nonzero(key[1:] < key[:-1]) * PRESORTED_RUN < len(key):
+        return np.argsort(key, kind="stable")
+    return _radix_argsort(key, bound)
+
+
 def count_position_inversions(order: np.ndarray, red: np.ndarray,
                               blue: np.ndarray) -> int:
     """Pairs of positions ``i < j``, ``i`` red and ``j`` blue, with key i > key j.
@@ -212,9 +246,12 @@ def count_position_inversions(order: np.ndarray, red: np.ndarray,
     within a block, so every right-half blue finds the left-half reds above
     its key in one running sum.  A stable sort by ``pos >> lev`` then puts
     each block's left half first, both halves still in key order: the
-    grouping for the next bit.  That sort (numpy's timsort on int64 keys
-    already grouped by block) takes O(n log n) comparisons, so after the
-    sort that produced ``order`` the count takes O(n log^2 n).  Indices and
+    grouping for the next bit.  The keys are below ``n >> lev``, so that
+    sort is one or two O(n) radix passes, and after the sort that produced
+    ``order`` the count takes O(n log n).  Keys with fewer than one descent
+    per ``PRESORTED_RUN`` entries, as presorted input leaves them, are
+    sorted by timsort instead, O(n log r) for ``r`` runs, which measured
+    faster on them.  Indices and
     running sums stay below ``n`` and one pass counts fewer than ``n**2 / 4``
     pairs, so int64 holds every intermediate for ``n`` up to ``MAX_LENGTH``.
     """
@@ -232,18 +269,18 @@ def count_position_inversions(order: np.ndarray, red: np.ndarray,
         last = np.minimum(start[k] + 2 * half, n) - 1
         total += int((reds[last] - reds[k]).sum())
         if lev:
-            perm = np.argsort(pos >> lev, kind="stable")
+            perm = _stable_argsort(pos >> lev, ((n - 1) >> lev) + 1)
             pos, is_red, is_blue = pos[perm], is_red[perm], is_blue[perm]
     return total
 
 
 def mergesort_count(values) -> int:
-    """Count inversions of a list in O(n log^2 n) comparisons.
+    """Count inversions of a list by one sort and ``ceil(log2 n)`` passes.
 
-    One stable sort, then the ``ceil(log2 n)`` passes of
-    :func:`count_position_inversions` with every element both red and
-    blue; the stable sort keeps equal values in position order, so they
-    never invert.
+    One stable comparison sort, then the passes of
+    :func:`count_position_inversions`, O(n) radix work each (a timsort on
+    presorted keys), with every element both red and blue; the stable sort
+    keeps equal values in position order, so they never invert.
     """
     values = _checked_values(values)
     every = np.ones(len(values), dtype=bool)

@@ -22,12 +22,14 @@ equal key.  Both are sorted once, at the root, where a point's key also
 becomes a rank.  A level labels the points by running counts along the K
 order; within a subproblem labels never decrease along it, so it stays
 grouped by child with no work.  The cross-chunk pairs are ``f - 1``
-running counts along the X order, and one stable sort by (subproblem,
-label) groups the X order by child.  So a level costs O(f) linear passes
-and one sort of the X order, and the leaves O(B n) work in chunks of
-pairs.  One ``bincount`` over (subproblem, label, colour) gives every
-bucket size, and ``IoTally``'s array rules charge the level's passes
-from those sizes, with the same charges as a recursion node by node.
+running counts along the X order, and a stable sort by (subproblem,
+label) groups the X order by child: one radix pass per 16-bit digit of
+``nodes * f``, or a timsort of few runs when the keys are presorted.  So
+a level costs O(f) linear passes plus those radix passes, and the leaves
+O(B n) work in chunks of pairs.  One ``bincount`` over
+(subproblem, label, colour) gives every bucket size, and ``IoTally``'s
+array rules charge the level's passes from those sizes, with the same
+charges as a recursion node by node.
 
 The capped counter builds red-blue cells for a cap ``K`` and counts the
 pairs inside each cell; it may report failure, which certifies the true
@@ -50,9 +52,9 @@ the position-inversion kernel.  Every point carries the id of its cell;
 positions sort by ``(cell, x, blue first on equal x)`` and keys by
 ``(cell, y, tiebreak)``, so only pairs within a cell count.  A batch of
 ``n`` points costs one O(n log n) sort, then the ``ceil(log2 n)``
-vectorized kernel passes, each ending in one stable sort: O(n log^2 n)
-comparisons.  The kernel lives in ``core`` beside
-``core.mergesort_count``, its other user.  Only the I/O-model counters
+vectorized kernel passes, each ending in an O(n) radix regroup (a timsort
+on presorted keys): O(n log n) radix work in all.  The kernel lives in
+``core`` beside ``core.mergesort_count``, its other user.  Only the I/O-model counters
 reach the distribution counter.
 """
 
@@ -66,8 +68,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .cells import RedBlueCells, build_cells
-from .core import (PointSet, _integer, _unchecked, count_position_inversions,
-                   dominance_mask)
+from .core import (PointSet, _integer, _radix_argsort, _stable_argsort,
+                   _unchecked, count_position_inversions, dominance_mask)
 from .iomodel import EmParams, IoTally, RAM_PARAMS
 
 
@@ -113,7 +115,7 @@ def _count_cells(family: RedBlueCells, count: Callable[..., int]) -> int:
 
 def merge_count_dominance(red: PointSet, blue: PointSet,
                           sizes: Optional[np.ndarray] = None) -> int:
-    """Exact domination-pair count in O(n log^2 n) comparisons.
+    """Exact domination-pair count by one sort and the kernel's passes.
 
     ``sizes`` reads as in ``count_nonadaptive``: the sum over a batch of
     cells.  Blue goes first, so the stable sort by ``(cell, x)`` puts blue
@@ -251,34 +253,46 @@ def _labels(ko: np.ndarray, krank: np.ndarray, nb: int, sizes: np.ndarray,
     del run_starts
     le = np.minimum.accumulate(np.where(run_ends, through, m)[::-1])[::-1]
     le -= 1
-    np.maximum(rank, le, out=rank, where=~is_red & side_red[node])
+    # Zeroed elsewhere, as ranks are never negative: cheaper than a
+    # masked maximum.
+    le *= ~is_red & side_red[node]
+    np.maximum(rank, le, out=rank)
     del le, run_ends, through
     rank -= np.repeat(before[starts], count)
     del before
     # Chunk j of a node's ns side points starts at rank j * ns // f, so
     # the label, #{j >= 1 : j * ns // f <= rank}, is this quotient.
-    lab = rank.astype(np.int64)
+    # Ranks stay below ``m``, so the products stay below ``m * f``.
+    lab = rank.astype(np.int64 if m * f >= 2**31 else rank.dtype, copy=False)
     del rank
     lab += 1
     lab *= f
     lab -= 1
-    lab //= np.where(side_red, sizes[:, 1], sizes[:, 0])[node]
+    lab //= np.where(side_red, sizes[:, 1], sizes[:, 0]).astype(lab.dtype)[node]
     return np.minimum(lab, f - 1, out=lab)
 
 
 def _cross_pairs(is_red: np.ndarray, label: np.ndarray,
                  buckets: np.ndarray) -> int:
-    """Pairs of a blue labelled below ``j`` and a red labelled ``j`` to
-    its left in its node, summed over ``j``.  ``is_red`` and ``label``
-    follow the X order; each ``j`` takes one running count of its reds."""
+    """Pairs of a blue labelled ``l`` and a red labelled above ``l`` to its
+    left in its node, summed over ``l``.  ``is_red`` and ``label`` follow
+    the X order; each ``l`` takes one running count of the reds above it,
+    into one buffer, read at the blues labelled ``l``."""
     f = buckets.shape[1]
-    red_lab, blue_lab = np.where(is_red, label, f), np.where(is_red, f, label)
-    blues_below = np.cumsum(buckets[:, :, 0], axis=1)
+    red_lab = np.where(is_red, label, 0)
+    blues = np.flatnonzero(~is_red)
+    blues = np.split(blues[_radix_argsort(label[blues], f)],
+                     np.cumsum(buckets[:, :, 0].sum(axis=0))[:-1])
+    above = np.empty(len(label), dtype=bool)
+    run = np.empty(len(label), dtype=np.int32 if len(label) < 2**31 else np.int64)
     total = 0
+    for lab in range(f - 1):
+        np.greater(red_lab, lab, out=above)
+        np.cumsum(above, dtype=run.dtype, out=run)
+        total += int(run[blues[lab]].sum(dtype=np.int64))
+    # The running counts include the reds of earlier nodes.
+    blues_below = np.cumsum(buckets[:, :, 0], axis=1)
     for j in range(1, f):
-        reds_left = np.cumsum(red_lab == j, dtype=np.int64)
-        total += int(reds_left.sum(where=blue_lab < j))
-        # The running count includes the reds of earlier nodes.
         reds = buckets[:, j, 1]
         total -= int(blues_below[:, j - 1] @ (np.cumsum(reds) - reds))
     return total
@@ -324,7 +338,7 @@ def _distribute(xo: np.ndarray, ko: np.ndarray, krank: np.ndarray, nb: int,
         # The children: the X order partitioned stably by (node, label).
         # The K order is grouped so already, as labels never decrease
         # along a node.
-        xo = xo[np.argsort(node * np.int64(f) + lx, kind="stable")]
+        xo = xo[_stable_argsort(node * np.int64(f) + lx, nodes * f)]
         del node, lx
         sizes = buckets.reshape(nodes * f, 2)
 

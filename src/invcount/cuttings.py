@@ -28,7 +28,9 @@ The blue orientation is implemented by negating all coordinates and
 running the red sweep, so there is exactly one sweep to get right.  The
 sweep compares integer ranks of the base keys, taken once per build;
 equal keys rank in sweep order, so the staircase keeps the later of two
-tied points, as a stable sort of the keys would.
+tied points, as a stable sort of the keys would.  A base of at most
+``2k`` points is one cell, the whole plane, and is neither ranked nor
+swept; its build still charges the scan.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet, dominance_mask, ykey_less
+from .core import PointSet, _integer, dominance_mask, ykey_less
 from .iomodel import IoTally
 
 _INF = float("inf")
@@ -49,20 +51,14 @@ CORNER_WIDTH = 3
 def _sweep(rank: list[int], k: int):
     """Left-to-right sweep in red-oriented coordinates.
 
-    ``rank`` holds the distinct key rank of each base point, in ascending
-    x order.  For each outward corner but the last, returns the base
-    position its x cut falls just before (``n`` past the last point) and
-    the floor point whose key the next corner sits just below; then the
-    base indices of every cell, concatenated in cell order and ascending
-    within a cell, and the size of every cell.
+    ``rank`` holds the distinct key rank of each of more than ``2k`` base
+    points, in ascending x order.  For each outward corner but the last,
+    returns the base position its x cut falls just before (``n`` past the
+    last point) and the floor point whose key the next corner sits just
+    below; then the base indices of every cell, concatenated in cell
+    order and ascending within a cell, and the size of every cell.
     """
     n = len(rank)
-    if k < 1:
-        raise ValueError("cutting depth must be at least 1")
-    if n <= 2 * k:
-        # Degenerate staircase: one corner whose cell is the whole plane.
-        return [], [], list(range(n)), [n]
-
     cuts: list[int] = []
     floors: list[int] = []
     members: list[int] = []
@@ -135,16 +131,23 @@ class StaircaseCutting:
 
 
 def _build(base: PointSet, k: int, tally: IoTally, orientation: str) -> StaircaseCutting:
+    k = _integer(k, "depth")
+    if k < 1:
+        raise ValueError("cutting depth must be at least 1")
     n = len(base)
     tally.charge_read(n)  # one scan of the base points
     x, y, t = base.x, base.y, base.tiebreak
     if orientation == "blue":
         x, y, t = -x[::-1], -y[::-1], -t[::-1]
-    # lexsort is stable, so equal keys rank in sweep order, the order a
-    # stable sort of the (y, tiebreak) keys leaves them in: sorting and
-    # comparing ranks match sorting and comparing keys, ties included.
-    rank = np.lexsort((t, y)).argsort()
-    cuts, floors, members, sizes = _sweep(rank.tolist(), k)
+    if n <= 2 * k:
+        # Degenerate staircase: one corner whose cell is the whole plane.
+        cuts, floors, members, sizes = [], [], np.arange(n), [n]
+    else:
+        # lexsort is stable, so equal keys rank in sweep order, the order a
+        # stable sort of the (y, tiebreak) keys leaves them in: sorting and
+        # comparing ranks match sorting and comparing keys, ties included.
+        cuts, floors, members, sizes = _sweep(
+            np.lexsort((t, y)).argsort().tolist(), k)
 
     cuts = np.array(cuts, dtype=np.intp)
     xs = np.append(x, x[-1:] + 1)  # a cut past the last point sits at +0.5

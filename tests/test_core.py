@@ -114,6 +114,77 @@ class TestMergesortCount:
         assert mergesort_count(values) == oracle(values)
 
 
+class TestRadixArgsort:
+    """The kernel's and the distribution counter's regroup: a stable
+    argsort of small integer keys, one radix pass per 16-bit digit, or a
+    timsort when the keys are presorted."""
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 256, 257, 2**16, 2**16 + 1,
+                                       2**20, 2**32])
+    @pytest.mark.parametrize("ties", [False, True], ids=["spread", "ties"])
+    def test_matches_stable_argsort(self, bound, ties):
+        rng = np.random.default_rng(bound)
+        n = 5000 if bound else 0
+        if ties:
+            # Few distinct keys, each differing from the others in every
+            # digit, so every pass meets long runs of equal digits.
+            keys = np.unique([0, bound // 3, bound // 2, bound - 1])
+            key = rng.choice(keys[keys >= 0], size=n) if n else np.zeros(0)
+        else:
+            key = rng.integers(0, max(bound, 1), size=n)
+        key = key.astype(np.int64)
+        assert np.array_equal(core._radix_argsort(key, bound),
+                              np.argsort(key, kind="stable"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=200),
+           st.sampled_from([np.int32, np.int64]))
+    def test_ties_in_either_digit(self, digits, dtype):
+        key = np.array([hi * 2**16 + lo for hi, lo in digits], dtype=dtype)
+        assert np.array_equal(core._radix_argsort(key, 2**18),
+                              np.argsort(key, kind="stable"))
+
+    @pytest.mark.parametrize("swaps", [0, 1, 40, 600, 2500])
+    def test_presorted_keys(self, swaps):
+        # Adjacent swaps in sorted keys with ties: from presorted (timsort)
+        # to more than one descent per PRESORTED_RUN keys (radix).
+        rng = np.random.default_rng(swaps)
+        key = np.sort(rng.integers(0, 2**17, 5000))
+        key[rng.integers(0, 2500, 500) * 2] = 7
+        for i in rng.integers(0, len(key) - 1, swaps):
+            key[i], key[i + 1] = key[i + 1], key[i]
+        assert np.array_equal(core._stable_argsort(key, 2**17),
+                              np.argsort(key, kind="stable"))
+
+    def test_only_unsorted_keys_take_radix_passes(self, monkeypatch):
+        bounds = []
+
+        def spy(key, bound):
+            bounds.append(bound)
+            return np.argsort(key, kind="stable")
+
+        monkeypatch.setattr(core, "_radix_argsort", spy)
+        presorted = np.repeat(np.arange(100), 50)
+        core._stable_argsort(presorted, 100)
+        assert bounds == []
+        core._stable_argsort(np.random.default_rng(0).permutation(presorted), 100)
+        assert bounds == [100]
+
+    @pytest.mark.parametrize("bound", [0, 1, 300, 2**20])
+    def test_empty_input(self, bound):
+        for sort in (core._radix_argsort, core._stable_argsort):
+            perm = sort(np.zeros(0, dtype=np.int64), bound)
+            assert perm.dtype == np.intp and len(perm) == 0
+
+    @pytest.mark.parametrize("bound", [1, 200, 2**17])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_returns_index_dtype(self, bound, dtype):
+        key = (np.arange(1000) * 7919 % bound).astype(dtype)
+        assert core._radix_argsort(key, bound).dtype == np.intp
+        assert core._stable_argsort(key, bound).dtype == np.intp
+        assert core._stable_argsort(np.sort(key), bound).dtype == np.intp
+
+
 class TestValidation:
     def test_value_list_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       audit_cells, brute_force_count, build_cells,
-                      cap_schedule, count_adaptive, count_adaptive_ram,
+                      cap_schedule, core, count_adaptive, count_adaptive_ram,
                       count_capped, count_capped_ram, count_nonadaptive,
                       counting, generate, merge_count_dominance,
-                      ram_cap_schedule, reduce_inversions)
+                      mergesort_count, ram_cap_schedule, reduce_inversions)
 from invcount.cells import STOP_SIZE, Cell, RedBlueCells
 from invcount.core import PointSet, dominates
 
@@ -265,6 +265,64 @@ class TestNonadaptive:
         red, blue = reduction(generate(InstanceSpec(100, "random_permutation")))
         with pytest.raises(ValueError):
             count_nonadaptive(red, blue, params, IoTally(params))
+
+
+@st.composite
+def level_nodes(draw):
+    """A fanout and the points of a level's nodes in X order, each a
+    colour (red when true) and a chunk label; a node may be empty."""
+    f = draw(st.sampled_from([2, 3, 5, 16]))
+    point = st.tuples(st.booleans(), st.integers(0, f - 1))
+    return f, draw(st.lists(st.lists(point, max_size=12), max_size=5))
+
+
+class TestDistributionLevel:
+    """One level of the distribution counter: its cross-chunk pairs and
+    its stable partition of the X order into children."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(level_nodes())
+    def test_cross_pairs_match_brute(self, level):
+        f, nodes = level
+        flat = [p for node in nodes for p in node]
+        is_red = np.array([red for red, _ in flat], dtype=bool)
+        label = np.array([lab for _, lab in flat], dtype=np.min_scalar_type(f))
+        buckets = np.zeros((len(nodes), f, 2), dtype=np.int64)
+        for i, node in enumerate(nodes):
+            for red, lab in node:
+                buckets[i, lab, int(red)] += 1
+        # A red to the left of a blue in its node, labelled above it.
+        brute = sum(red and not red2 and lab > lab2
+                    for node in nodes for i, (red, lab) in enumerate(node)
+                    for red2, lab2 in node[i + 1:])
+        assert counting._cross_pairs(is_red, label, buckets) == brute
+
+    @pytest.mark.parametrize("params", [EmParams(64, 1), EmParams(8192, 32)],
+                             ids=["f8", "f16"])
+    @pytest.mark.parametrize("shape", ["random_permutation", "random_real",
+                                       "duplicates", "target_inversions"])
+    def test_matches_mergesort_count(self, params, shape):
+        values = generate(InstanceSpec(6000, shape, seed=4, target=6000**2 // 8))
+        red, blue = reduction(values)
+        assert (count_nonadaptive(red, blue, params, IoTally(params))
+                == mergesort_count(values))
+
+    def test_child_partition_over_two_digits(self, monkeypatch):
+        # At f = 8 and B = 1 a level of 2^16 points per colour has more
+        # than 2^16 / 8 nodes, so its child keys take two radix passes.
+        values = generate(InstanceSpec(2**16, "random_permutation", seed=3))
+        radix, bounds = core._radix_argsort, []
+
+        def spy(key, bound):
+            bounds.append(bound)
+            return radix(key, bound)
+
+        monkeypatch.setattr(core, "_radix_argsort", spy)
+        params = EmParams(64, 1)
+        red, blue = reduction(values)
+        assert (count_nonadaptive(red, blue, params, IoTally(params))
+                == mergesort_count(values))
+        assert max(bounds) > 2**16
 
 
 class TestCapped:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invcount import (EmParams, InstanceSpec, IoTally, Point, build_blue_cutting,
-                      build_red_cutting, generate, reduce_inversions)
+                      build_red_cutting, cuttings, generate, reduce_inversions)
 from invcount.core import PointSet, ykey_less
 from invcount.cuttings import CORNER_WIDTH
 
@@ -55,6 +55,36 @@ class TestDegenerate:
         red, _ = reduce_inversions([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             build_red_cutting(red, 0, IoTally(PARAMS))
+
+    @pytest.mark.parametrize("build", [build_red_cutting, build_blue_cutting],
+                             ids=["red", "blue"])
+    @pytest.mark.parametrize("depth", [True, 2.5, 1.0, np.float64(2.0)])
+    def test_depth_must_be_an_integer(self, build, depth):
+        red, blue = reduce_inversions([3.0, 1.0, 4.0, 1.5, 5.0, 9.0])
+        with pytest.raises(ValueError, match="depth"):
+            build(red if build is build_red_cutting else blue, depth,
+                  IoTally(PARAMS))
+
+    def test_numpy_integer_depth_accepted(self):
+        red, _ = reduce_inversions([3.0, 1.0, 4.0, 1.5, 5.0, 9.0])
+        assert len(build_red_cutting(red, np.int64(1), IoTally(PARAMS)).outward) > 1
+
+    @pytest.mark.parametrize("build", [build_red_cutting, build_blue_cutting],
+                             ids=["red", "blue"])
+    def test_one_cell_base_is_not_ranked(self, monkeypatch, build):
+        # A base of at most 2k points is one cell: no sweep and no ranks,
+        # but still the scan charge.
+        red, blue = reduce_inversions(generate(InstanceSpec(40, "random_real")))
+
+        def refuse(*args):
+            raise AssertionError("a one-cell base was ranked or swept")
+
+        monkeypatch.setattr(cuttings, "_sweep", refuse)
+        monkeypatch.setattr(cuttings.np, "lexsort", refuse)
+        tally = IoTally(PARAMS)
+        cut = build(red if build is build_red_cutting else blue, 20, tally)
+        assert [c.tolist() for c in cut.cells] == [list(range(40))]
+        assert len(cut.outward) == 1 and tally.reads == PARAMS.blocks(40, 2)
 
 
 class TestCoverageBounds:

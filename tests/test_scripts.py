@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +42,26 @@ def test_behaviour_snapshot_is_deterministic():
     # orientation and depth; then one estimate report per shape.
     assert len(first) == 2 * (6 * 6 + 6 * 6 + 2 * 2) + 6
     assert run_script("behaviour_snapshot.py", *args) == first
+
+
+def test_bench_pairs(tmp_path):
+    out = tmp_path / "pairs.json"
+    run_script("bench_pairs.py", "--parent", str(ROOT), "--change", str(ROOT),
+               "--pairs", "2", "--seconds", "0.3", "--workload",
+               "estimate-sparse", "--out", str(out))
+    bench = json.loads(out.read_text())
+    assert bench["run_order"] == [["parent", "change"], ["change", "parent"]]
+    assert [len(bench[side]["runs"]) for side in ("parent", "change")] == [2, 2]
+    assert all(run["result"]["estimate-sparse"]["correct"]
+               for side in ("parent", "change") for run in bench[side]["runs"])
+    bounds = {m["name"]: m["bound"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    summary = bench["summary"]
+    assert sorted(summary) == sorted(f"estimate-sparse/{m}" for m in bounds)
+    for key, s in summary.items():
+        assert s["bound"] == bounds[key.split("/")[1]] and s["pairs"] == 2
+        assert s["pairs_change_lower"] + s["pairs_change_higher"] <= 2
+        assert s["parent_quartiles"][0] <= s["parent_median"] <= s["parent_quartiles"][1]
+    io = summary["estimate-sparse/io_blocks"]
+    assert io["parent_median"] == io["change_median"]
+    assert io["pairs_change_lower"] == io["pairs_change_higher"] == 0
