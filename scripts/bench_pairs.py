@@ -5,10 +5,16 @@ Each pair runs ``benchmark/run.py`` once in each checkout, one run at a
 time, the parent first in even pairs and the change first in odd ones.
 The JSON written to ``--out`` holds the settings, each side's commit and
 runs (the provenance lines and the last line of every run), the
-``run_order``, and per ``workload/metric`` a ``summary``: each side's
+``run_order``, per ``workload/metric`` a ``summary``: each side's
 median and quartiles, the relative change of the medians, the bound from
 the change's ``BENCHMARK.json``, and the pairs in which the change read
-lower and higher.
+lower and higher, and per workload each side's ``failed`` and
+``attempted`` calls over all its runs.
+
+A run whose workload reports ``correct: false`` stops the script before
+anything is written.  When the change fails a larger share of its calls
+than the parent on some workload, the file is written and the script
+exits with status 1.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -41,6 +47,10 @@ def run_once(checkout: Path, args) -> dict:
     result = json.loads(lines[-1])
     if args.workload != "all":
         result = {args.workload: result}
+    wrong = [name for name, res in result.items() if not res["correct"]]
+    if wrong:
+        raise SystemExit(f"{checkout}: {', '.join(wrong)} not correct\n"
+                         f"{proc.stderr}")
     provenance = {}
     for line in lines:
         if line.startswith("provenance "):
@@ -74,6 +84,18 @@ def summarize(runs: dict, bounds: dict) -> dict:
                 "pairs": len(parent),
             }
     return summary
+
+
+def failures(runs: dict) -> dict:
+    """Per workload: each side's failed and attempted calls over its runs."""
+    return {workload: {side: {key: sum(r["result"][workload][key] for r in runs[side])
+                              for key in ("failed", "attempted")}
+                       for side in SIDES}
+            for workload in runs["parent"][0]["result"]}
+
+
+def _share(calls: dict) -> float:
+    return calls["failed"] / calls["attempted"] if calls["attempted"] else 0.0
 
 
 def main(argv=None) -> int:
@@ -110,12 +132,22 @@ def main(argv=None) -> int:
                   "runs": runs[side]} for side in SIDES},
         "run_order": run_order,
         "summary": summarize(runs, bounds),
+        "failed": failures(runs),
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for key, s in out["summary"].items():
         print(f"{key:28s} {s['parent_median']:.4g} -> {s['change_median']:.4g}"
               f" ({s['change_vs_parent']:+.1%}, lower in"
               f" {s['pairs_change_lower']}/{s['pairs']})")
+    worse = [workload for workload, calls in out["failed"].items()
+             if _share(calls["change"]) > _share(calls["parent"])]
+    for workload, calls in out["failed"].items():
+        print(f"{workload + '/failed':28s} " + " -> ".join(
+            f"{calls[side]['failed']}/{calls[side]['attempted']}" for side in SIDES))
+    if worse:
+        print(f"the change fails a larger share of calls on {', '.join(worse)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

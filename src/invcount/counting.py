@@ -52,9 +52,9 @@ the position-inversion kernel.  Every point carries the id of its cell;
 positions sort by ``(cell, x, blue first on equal x)`` and keys by
 ``(cell, y, tiebreak)``, so only pairs within a cell count.  A batch of
 ``n`` points costs one O(n log n) sort, then the ``ceil(log2 n)``
-vectorized kernel passes, each ending in an O(n) radix regroup (a timsort
-on presorted keys): O(n log n) radix work in all.  The kernel lives in
-``core`` beside ``core.mergesort_count``, its other user.  Only the I/O-model counters
+vectorized kernel passes, each ending in one stable sort: O(n log^2 n)
+comparisons.  The kernel lives in ``core`` beside
+``core.mergesort_count``, its other user.  Only the I/O-model counters
 reach the distribution counter.
 """
 
@@ -115,7 +115,7 @@ def _count_cells(family: RedBlueCells, count: Callable[..., int]) -> int:
 
 def merge_count_dominance(red: PointSet, blue: PointSet,
                           sizes: Optional[np.ndarray] = None) -> int:
-    """Exact domination-pair count by one sort and the kernel's passes.
+    """Exact domination-pair count in O(n log^2 n) comparisons.
 
     ``sizes`` reads as in ``count_nonadaptive``: the sum over a batch of
     cells.  Blue goes first, so the stable sort by ``(cell, x)`` puts blue

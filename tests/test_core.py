@@ -115,9 +115,9 @@ class TestMergesortCount:
 
 
 class TestRadixArgsort:
-    """The kernel's and the distribution counter's regroup: a stable
-    argsort of small integer keys, one radix pass per 16-bit digit, or a
-    timsort when the keys are presorted."""
+    """The distribution counter's partition by child: a stable argsort of
+    small integer keys, one radix pass per 16-bit digit, or a timsort when
+    the keys are presorted."""
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 256, 257, 2**16, 2**16 + 1,
                                        2**20, 2**32])

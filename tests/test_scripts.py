@@ -65,3 +65,51 @@ def test_bench_pairs(tmp_path):
     io = summary["estimate-sparse/io_blocks"]
     assert io["parent_median"] == io["change_median"]
     assert io["pairs_change_lower"] == io["pairs_change_higher"] == 0
+    calls = bench["failed"]["estimate-sparse"]
+    for side in ("parent", "change"):
+        runs = bench[side]["runs"]
+        assert calls[side] == {
+            key: sum(run["result"]["estimate-sparse"][key] for run in runs)
+            for key in ("failed", "attempted")}
+        assert calls[side]["failed"] == 0 < calls[side]["attempted"]
+
+
+def fake_checkout(path, correct, failed):
+    """A checkout whose ``benchmark/run.py`` prints one fixed result."""
+    (path / "benchmark").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    result = {"correct": correct, "attempted": 10, "failed": failed,
+              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    (path / "benchmark" / "run.py").write_text(
+        "import json\n"
+        "print('provenance ' + json.dumps({'workload': 'w', 'commit': 'c'}))\n"
+        f"print(json.dumps({result!r}))\n")
+    return path
+
+
+def run_pairs(tmp_path, change):
+    parent = fake_checkout(tmp_path / "parent", True, 1)
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(parent), "--change", str(change), "--pairs", "2",
+         "--workload", "w", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    return proc, out
+
+
+def test_bench_pairs_refuses_incorrect_runs(tmp_path):
+    proc, out = run_pairs(tmp_path, fake_checkout(tmp_path / "change", False, 0))
+    assert proc.returncode != 0 and "w not correct" in proc.stderr
+    assert not out.exists()
+
+
+def test_bench_pairs_flags_more_failed_calls(tmp_path):
+    proc, out = run_pairs(tmp_path, fake_checkout(tmp_path / "change", True, 2))
+    assert proc.returncode == 1 and "larger share of calls on w" in proc.stderr
+    assert json.loads(out.read_text())["failed"]["w"] == {
+        "parent": {"failed": 2, "attempted": 20},
+        "change": {"failed": 4, "attempted": 20}}
+    proc, out = run_pairs(tmp_path / "same",
+                          fake_checkout(tmp_path / "same" / "change", True, 1))
+    assert proc.returncode == 0, proc.stderr
