@@ -27,12 +27,14 @@ def main() -> int:
     ap.add_argument("--mem", type=int, default=1024)
     ap.add_argument("--block", type=int, default=32)
     ap.add_argument("--kstar", default="0,131072,536870912,4294967296",
-                    help="comma-separated target inversion counts")
+                    help="comma-separated target inversion counts, from 0")
     ap.add_argument("--seeds", type=int, default=5)
     args = ap.parse_args()
 
     params = EmParams(args.mem, args.block)
     targets = [int(s) for s in args.kstar.split(",")]
+    if targets[0] != 0:
+        ap.error("--kstar must start at 0, the baseline of vs_zero")
     print(f"n={args.n} mem={args.mem} block={args.block} seeds={args.seeds}")
     print(f"{'kstar':>14} {'mean_io':>12} {'min_io':>10} {'max_io':>10} "
           f"{'rounds':>6} {'vs_zero':>8}")

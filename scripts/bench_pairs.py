@@ -7,9 +7,11 @@ The JSON written to ``--out`` holds the settings, each side's commit and
 runs (the provenance lines and the last line of every run), the
 ``run_order``, per ``workload/metric`` a ``summary``: each side's
 median and quartiles, the relative change of the medians, the bound from
-the change's ``BENCHMARK.json``, and the pairs in which the change read
-lower and higher, and per workload each side's ``failed`` and
-``attempted`` calls over all its runs.
+the change's ``BENCHMARK.json``, ``over_bound`` when the change's median
+is worse than the parent's by more than that bound (its line printed
+with ``OVER BOUND``), and the pairs in which the change read lower and
+higher, and per workload each side's ``failed`` and ``attempted`` calls
+over all its runs.
 
 A run whose workload reports ``correct: false`` stops the script before
 anything is written.  When the change fails a larger share of its calls
@@ -64,21 +66,28 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarize(runs: dict, bounds: dict) -> dict:
-    """Per ``workload/metric``: medians, quartiles and paired moves."""
+def summarize(runs: dict, spec: dict) -> dict:
+    """Per ``workload/metric``: medians, quartiles, paired moves and
+    whether the move is worse than the metric's bound in ``spec``, the
+    ``end_to_end`` entries of ``BENCHMARK.json`` by name."""
     summary = {}
     for workload, res in runs["parent"][0]["result"].items():
         for metric in res["metrics"]:
             parent, change = ([r["result"][workload]["metrics"][metric]["value"]
                                for r in runs[side]] for side in SIDES)
             pm, cm = statistics.median(parent), statistics.median(change)
+            move = cm / pm - 1 if pm else 0.0
+            rule = spec.get(metric, {})
+            bound = rule.get("bound")
+            worse = -move if rule.get("better") == "higher" else move
             summary[f"{workload}/{metric}"] = {
                 "parent_median": pm,
                 "parent_quartiles": quartiles(parent),
                 "change_median": cm,
                 "change_quartiles": quartiles(change),
-                "change_vs_parent": cm / pm - 1 if pm else 0.0,
-                "bound": bounds.get(metric),
+                "change_vs_parent": move,
+                "bound": bound,
+                "over_bound": bound is not None and worse > bound,
                 "pairs_change_lower": sum(c < p for p, c in zip(parent, change)),
                 "pairs_change_higher": sum(c > p for p, c in zip(parent, change)),
                 "pairs": len(parent),
@@ -124,21 +133,22 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     out = {
         "settings": {"workload": args.workload, "seed": args.seed,
                      "seconds": args.seconds, "pairs": args.pairs},
         **{side: {"commit": next(iter(runs[side][0]["provenance"].values()))["commit"],
                   "runs": runs[side]} for side in SIDES},
         "run_order": run_order,
-        "summary": summarize(runs, bounds),
+        "summary": summarize(runs, metrics),
         "failed": failures(runs),
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for key, s in out["summary"].items():
         print(f"{key:28s} {s['parent_median']:.4g} -> {s['change_median']:.4g}"
               f" ({s['change_vs_parent']:+.1%}, lower in"
-              f" {s['pairs_change_lower']}/{s['pairs']})")
+              f" {s['pairs_change_lower']}/{s['pairs']})"
+              + ("  OVER BOUND" if s["over_bound"] else ""))
     worse = [workload for workload, calls in out["failed"].items()
              if _share(calls["change"]) > _share(calls["parent"])]
     for workload, calls in out["failed"].items():

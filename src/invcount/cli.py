@@ -32,30 +32,35 @@ ALGORITHMS = ("brute", "mergesort", "nonadaptive", "capped", "adaptive",
               "adaptive-ram")
 
 class InputParseError(Exception):
-    def __init__(self, line_no: int, text: str):
-        super().__init__(f"line {line_no}: cannot parse value {text!r}")
-
-
-def _holds_exactly(text: str, v: float) -> bool:
-    """False for an integral value, in any notation, that float64 ``v`` rounds."""
-    d = Decimal(text)
-    return d != d.to_integral_value() or d == Decimal(v)
+    def __init__(self, line_no: int, text: str, why: str = ""):
+        super().__init__(f"line {line_no}: cannot parse value {text!r}{why}")
 
 
 def read_values(stream) -> np.ndarray:
-    """One decimal value per line; blank lines ignored."""
-    values = []
+    """One decimal value per line; blank lines ignored.
+
+    float64 keeps the order of distinct decimals but may round two to one
+    value, which would hide their inversion.  So a line is refused when its
+    float64 equals an earlier line's and the decimals differ, and so is an
+    integral value, in any notation, that float64 rounds.
+    """
+    values, seen = [], {}
     for line_no, line in enumerate(stream, start=1):
         text = line.strip()
         if not text:
             continue
         try:
             v = float(text)
-            exact = np.isfinite(v) and _holds_exactly(text, v)
+            d = Decimal(text)
+            exact = np.isfinite(v) and (d != d.to_integral_value() or d == Decimal(v))
         except (ValueError, InvalidOperation):
             exact = False
         if not exact:
             raise InputParseError(line_no, text)
+        first = seen.setdefault(v, d)
+        if first != d:
+            raise InputParseError(line_no, text, f": float64 rounds it as it rounds"
+                                  f" {first}, a different value on an earlier line")
         values.append(v)
     return np.array(values, dtype=np.float64)
 

@@ -198,41 +198,6 @@ def brute_force_count(red: PointSet, blue: PointSet) -> int:
     return int(total)
 
 
-def _radix_argsort(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``.
-
-    One stable pass per 16-bit digit of ``bound - 1``, least significant
-    first, each over the digit cast to the narrowest unsigned dtype, which
-    numpy sorts by radix: O(n) per pass.
-    """
-    bits = max(bound - 1, 0).bit_length()
-
-    def digit(k, shift):
-        return (k >> shift).astype(np.uint8 if bits - shift <= 8 else np.uint16)
-
-    perm = np.argsort(digit(key, 0), kind="stable")
-    for shift in range(16, bits, 16):
-        perm = perm[np.argsort(digit(key[perm], shift), kind="stable")]
-    return perm
-
-
-#: Entries per descent below which keys count as presorted.  On the
-#: distribution counter's child keys numpy's timsort, which merges natural
-#: runs, took 0.79 ms against the radix passes' 1.78 at 223 entries per
-#: descent (few inversions) and 22.6 ms against 7.5 at 5 (many).
-PRESORTED_RUN = 8
-
-
-def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``,
-    the distribution counter's partition of a level by child: by timsort
-    when the keys are presorted, as few inversions leave them, and by
-    ``_radix_argsort`` otherwise."""
-    if np.count_nonzero(key[1:] < key[:-1]) * PRESORTED_RUN < len(key):
-        return np.argsort(key, kind="stable")
-    return _radix_argsort(key, bound)
-
-
 def count_position_inversions(order: np.ndarray, red: np.ndarray,
                               blue: np.ndarray) -> int:
     """Pairs of positions ``i < j``, ``i`` red and ``j`` blue, with key i > key j.

@@ -198,6 +198,28 @@ class TestInputs:
         assert list(read_values(io.StringIO(text))) == [
             1e22, 9007199254740992.0, 0.1, 0.0, 1000.0]
 
+    @pytest.mark.parametrize("text,merged", [
+        ("0.10000000000000000001\n0.1\n", "0.1"),
+        ("1e-400\n0\n", "0"),
+        ("3\n0.3\n1\n0.299999999999999999999\n", "0.299999999999999999999")])
+    def test_decimals_float64_merges_rejected(self, capsys, monkeypatch, text,
+                                              merged):
+        # float64 rounds the two decimals to one value, which would hide
+        # the inversion between them.
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, [
+            "count", "--alg", "brute", "--input", "-"])
+        lines = text.splitlines()
+        assert code == 3 and out == ""
+        assert f"line {len(lines)}" in err and repr(merged) in err
+
+    def test_equal_decimals_in_other_spellings_parse(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("0.1\n0.10\n1e-1\n-0\n0\n0.0\n"))
+        report = run_json(capsys, [
+            "count", "--alg", "brute", "--input", "-"])
+        assert report["count"] == 9
+
     def test_exact_large_integer_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin",
                             io.StringIO("9007199254740994\n9007199254740992\n"))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from invcount import (EmParams, InstanceSpec, IoTally, Point, PointSet,
                       brute_force_count, core, count_adaptive,
-                      count_adaptive_ram, count_nonadaptive, dominates,
-                      estimate_inversions, generate, mergesort_count,
-                      reduce_inversions)
+                      count_adaptive_ram, count_nonadaptive, counting,
+                      dominates, estimate_inversions, generate,
+                      mergesort_count, reduce_inversions)
 
 
 def oracle(values) -> int:
@@ -115,9 +115,9 @@ class TestMergesortCount:
 
 
 class TestRadixArgsort:
-    """The distribution counter's partition by child: a stable argsort of
-    small integer keys, one radix pass per 16-bit digit, or a timsort when
-    the keys are presorted."""
+    """The distribution counter's partition by child, which lives in
+    ``counting``: a stable argsort of small integer keys, one radix pass
+    per 16-bit digit, or a timsort when the keys are presorted."""
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 256, 257, 2**16, 2**16 + 1,
                                        2**20, 2**32])
@@ -133,7 +133,7 @@ class TestRadixArgsort:
         else:
             key = rng.integers(0, max(bound, 1), size=n)
         key = key.astype(np.int64)
-        assert np.array_equal(core._radix_argsort(key, bound),
+        assert np.array_equal(counting._radix_argsort(key, bound),
                               np.argsort(key, kind="stable"))
 
     @settings(max_examples=100, deadline=None)
@@ -141,7 +141,7 @@ class TestRadixArgsort:
            st.sampled_from([np.int32, np.int64]))
     def test_ties_in_either_digit(self, digits, dtype):
         key = np.array([hi * 2**16 + lo for hi, lo in digits], dtype=dtype)
-        assert np.array_equal(core._radix_argsort(key, 2**18),
+        assert np.array_equal(counting._radix_argsort(key, 2**18),
                               np.argsort(key, kind="stable"))
 
     @pytest.mark.parametrize("swaps", [0, 1, 40, 600, 2500])
@@ -153,7 +153,7 @@ class TestRadixArgsort:
         key[rng.integers(0, 2500, 500) * 2] = 7
         for i in rng.integers(0, len(key) - 1, swaps):
             key[i], key[i + 1] = key[i + 1], key[i]
-        assert np.array_equal(core._stable_argsort(key, 2**17),
+        assert np.array_equal(counting._stable_argsort(key, 2**17),
                               np.argsort(key, kind="stable"))
 
     def test_only_unsorted_keys_take_radix_passes(self, monkeypatch):
@@ -163,16 +163,16 @@ class TestRadixArgsort:
             bounds.append(bound)
             return np.argsort(key, kind="stable")
 
-        monkeypatch.setattr(core, "_radix_argsort", spy)
+        monkeypatch.setattr(counting, "_radix_argsort", spy)
         presorted = np.repeat(np.arange(100), 50)
-        core._stable_argsort(presorted, 100)
+        counting._stable_argsort(presorted, 100)
         assert bounds == []
-        core._stable_argsort(np.random.default_rng(0).permutation(presorted), 100)
+        counting._stable_argsort(np.random.default_rng(0).permutation(presorted), 100)
         assert bounds == [100]
 
     @pytest.mark.parametrize("bound", [0, 1, 300, 2**20])
     def test_empty_input(self, bound):
-        for sort in (core._radix_argsort, core._stable_argsort):
+        for sort in (counting._radix_argsort, counting._stable_argsort):
             perm = sort(np.zeros(0, dtype=np.int64), bound)
             assert perm.dtype == np.intp and len(perm) == 0
 
@@ -180,9 +180,9 @@ class TestRadixArgsort:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_returns_index_dtype(self, bound, dtype):
         key = (np.arange(1000) * 7919 % bound).astype(dtype)
-        assert core._radix_argsort(key, bound).dtype == np.intp
-        assert core._stable_argsort(key, bound).dtype == np.intp
-        assert core._stable_argsort(np.sort(key), bound).dtype == np.intp
+        assert counting._radix_argsort(key, bound).dtype == np.intp
+        assert counting._stable_argsort(key, bound).dtype == np.intp
+        assert counting._stable_argsort(np.sort(key), bound).dtype == np.intp
 
 
 class TestValidation:

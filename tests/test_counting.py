@@ -139,7 +139,13 @@ class TestBatchedCells:
                       random_points(rng, nb, "blue", 3 * nb))
                  for nr, nb in sizes]
         family = RedBlueCells(1, cells=cells)
-        batches = [cells[lo:hi] for lo, hi in counting._batches(family.layout()[3])]
+        x, _, _, sizes = family.layout()
+        batches = []
+        for lo, hi, b0, b1, r0, r1 in counting._batches(sizes):
+            batches.append(cells[lo:hi])
+            for side, at in (("blue", slice(b0, b1)), ("red", slice(r0, r1))):
+                assert np.array_equal(x[at], np.concatenate(
+                    [getattr(c, side).x for c in batches[-1]]))
         assert sum(batches, []) == cells and len(batches) >= 4
         assert [len(b) for b in batches].count(1) == 1
         assert all(sum(len(c.red) + len(c.blue) for c in b)
@@ -214,7 +220,7 @@ class TestBatchedDistribution:
                count_capped(red, blue, kstar, PARAMS, IoTally(PARAMS)))
         assert got == kstar
         assert len(calls) == len(batches)
-        for batch_sizes, (lo, hi) in zip(calls, batches):
+        for batch_sizes, (lo, hi, *_) in zip(calls, batches):
             assert np.array_equal(batch_sizes, sizes[:, lo:hi])
 
     def test_io_round_reads_the_layout_only(self, monkeypatch):
@@ -276,6 +282,44 @@ def level_nodes(draw):
     return f, draw(st.lists(st.lists(point, max_size=12), max_size=5))
 
 
+@st.composite
+def tied_cells(draw):
+    """A fanout and one or more cells, each a red and a blue list of keys
+    in x order, drawn from few keys; a cell's colours are the same points,
+    as in the reduction, or drawn apart, so either may be the smaller."""
+    f = draw(st.sampled_from([2, 3, 5, 16]))
+    keys = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)),
+                    min_size=1, max_size=12)
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        red = draw(keys)
+        cells.append((red, red if draw(st.booleans()) else draw(keys)))
+    return f, cells
+
+
+def documented_labels(cells, f):
+    """The labels of the module docstring's rule, blue points first, then
+    red, each colour cell after cell and in x order."""
+    def chunk(rank, ns):
+        return sum(j * ns // f <= rank for j in range(1, f))
+
+    labels = []
+    for colour in ("blue", "red"):
+        for red, blue in cells:
+            side_red = len(red) <= len(blue)
+            side = red if side_red else blue
+            for i, k in enumerate(red if colour == "red" else blue):
+                strict = sum(s < k for s in side)
+                if (colour == "red") == side_red:
+                    rank = strict + sum(s == k for s in side[:i])
+                else:
+                    ties = sum(s == k for s in side)
+                    # A blue takes the label of the last side red of its key.
+                    rank = strict + ties - 1 if colour == "blue" and ties else strict
+                labels.append(chunk(rank, len(side)))
+    return labels
+
+
 class TestDistributionLevel:
     """One level of the distribution counter: its cross-chunk pairs and
     its stable partition of the X order into children."""
@@ -297,6 +341,24 @@ class TestDistributionLevel:
                     for red2, lab2 in node[i + 1:])
         assert counting._cross_pairs(is_red, label, buckets) == brute
 
+    @settings(max_examples=300, deadline=None)
+    @given(tied_cells())
+    def test_labels_follow_the_documented_rule(self, level):
+        f, cells = level
+        sets = []
+        for colour, at in (("red", 0), ("blue", 1)):
+            keys = np.array([k for cell in cells for k in cell[at]], dtype=np.int64)
+            x = np.concatenate([np.arange(len(cell[at])) for cell in cells])
+            sets.append(core._unchecked(x, keys[:, 0].astype(np.float64),
+                                        keys[:, 1], colour))
+        red, blue = sets
+        sizes = np.array([[len(b) for _, b in cells], [len(r) for r, _ in cells]])
+        xo, ko, krank = counting._root_orders(red, blue, sizes)
+        node = np.repeat(np.arange(len(cells)), sizes.sum(axis=0))
+        label = np.empty(len(ko), dtype=np.int64)
+        label[ko] = counting._labels(ko, krank, len(blue), sizes.T, node, f)
+        assert label.tolist() == documented_labels(cells, f)
+
     @pytest.mark.parametrize("params", [EmParams(64, 1), EmParams(8192, 32)],
                              ids=["f8", "f16"])
     @pytest.mark.parametrize("shape", ["random_permutation", "random_real",
@@ -311,13 +373,13 @@ class TestDistributionLevel:
         # At f = 8 and B = 1 a level of 2^16 points per colour has more
         # than 2^16 / 8 nodes, so its child keys take two radix passes.
         values = generate(InstanceSpec(2**16, "random_permutation", seed=3))
-        radix, bounds = core._radix_argsort, []
+        radix, bounds = counting._radix_argsort, []
 
         def spy(key, bound):
             bounds.append(bound)
             return radix(key, bound)
 
-        monkeypatch.setattr(core, "_radix_argsort", spy)
+        monkeypatch.setattr(counting, "_radix_argsort", spy)
         params = EmParams(64, 1)
         red, blue = reduction(values)
         assert (count_nonadaptive(red, blue, params, IoTally(params))

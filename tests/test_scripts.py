@@ -27,6 +27,17 @@ def test_adaptivity_sweep():
     assert [int(row.split()[0]) for row in lines[2:]] == [0, 512, 65536]
 
 
+def test_adaptivity_sweep_refuses_a_nonzero_baseline():
+    # vs_zero divides by the first target's mean I/O.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "adaptivity_sweep.py"),
+         "--n", "512", "--kstar", "512,0", "--seeds", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--kstar must start at 0" in proc.stderr
+
+
 def test_estimator_coverage():
     lines = run_script("estimator_coverage.py", "--n", "256", "--seeds", "5")
     assert [row.split()[0] for row in lines] == [
@@ -74,12 +85,12 @@ def test_bench_pairs(tmp_path):
         assert calls[side]["failed"] == 0 < calls[side]["attempted"]
 
 
-def fake_checkout(path, correct, failed):
+def fake_checkout(path, correct, failed, wall_s=1.0):
     """A checkout whose ``benchmark/run.py`` prints one fixed result."""
     (path / "benchmark").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     result = {"correct": correct, "attempted": 10, "failed": failed,
-              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+              "metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}
     (path / "benchmark" / "run.py").write_text(
         "import json\n"
         "print('provenance ' + json.dumps({'workload': 'w', 'commit': 'c'}))\n"
@@ -113,3 +124,16 @@ def test_bench_pairs_flags_more_failed_calls(tmp_path):
     proc, out = run_pairs(tmp_path / "same",
                           fake_checkout(tmp_path / "same" / "change", True, 1))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_pairs_flags_a_metric_past_its_bound(tmp_path):
+    bound = next(m["bound"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"] if m["name"] == "wall_s")
+    for wall_s, over in [(1 + bound / 2, False), (1 + 2 * bound, True), (0.5, False)]:
+        base = tmp_path / str(wall_s)
+        proc, out = run_pairs(base, fake_checkout(base / "change", True, 1, wall_s))
+        assert proc.returncode == 0, proc.stderr
+        s = json.loads(out.read_text())["summary"]["w/wall_s"]
+        assert s["bound"] == bound and s["over_bound"] is over
+        line = next(l for l in proc.stdout.splitlines() if l.startswith("w/wall_s"))
+        assert line.endswith("OVER BOUND") is over
