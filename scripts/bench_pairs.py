@@ -9,9 +9,11 @@ runs (the provenance lines and the last line of every run), the
 median and quartiles, the relative change of the medians, the bound from
 the change's ``BENCHMARK.json``, ``over_bound`` when the change's median
 is worse than the parent's by more than that bound (its line printed
-with ``OVER BOUND``), and the pairs in which the change read lower and
-higher, and per workload each side's ``failed`` and ``attempted`` calls
-over all its runs.
+with ``OVER BOUND``), ``unresolved`` when the parent's interquartile
+range exceeds the bound times its median and not every change run reads
+better than every parent run (its line printed with ``UNRESOLVED``), and
+the pairs in which the change read lower and higher, and per workload
+each side's ``failed`` and ``attempted`` calls over all its runs.
 
 A run whose workload reports ``correct: false`` stops the script before
 anything is written.  When the change fails a larger share of its calls
@@ -67,9 +69,10 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(runs: dict, spec: dict) -> dict:
-    """Per ``workload/metric``: medians, quartiles, paired moves and
+    """Per ``workload/metric``: medians, quartiles, paired moves,
     whether the move is worse than the metric's bound in ``spec``, the
-    ``end_to_end`` entries of ``BENCHMARK.json`` by name."""
+    ``end_to_end`` entries of ``BENCHMARK.json`` by name, and whether the
+    parent's own spread is too wide to tell a move within that bound."""
     summary = {}
     for workload, res in runs["parent"][0]["result"].items():
         for metric in res["metrics"]:
@@ -79,15 +82,20 @@ def summarize(runs: dict, spec: dict) -> dict:
             move = cm / pm - 1 if pm else 0.0
             rule = spec.get(metric, {})
             bound = rule.get("bound")
-            worse = -move if rule.get("better") == "higher" else move
+            sign = -1 if rule.get("better") == "higher" else 1
+            worse = sign * move
+            pq = quartiles(parent)
+            spread = (pq[1] - pq[0]) / pm if pm else 0.0
+            apart = max(sign * c for c in change) < min(sign * p for p in parent)
             summary[f"{workload}/{metric}"] = {
                 "parent_median": pm,
-                "parent_quartiles": quartiles(parent),
+                "parent_quartiles": pq,
                 "change_median": cm,
                 "change_quartiles": quartiles(change),
                 "change_vs_parent": move,
                 "bound": bound,
                 "over_bound": bound is not None and worse > bound,
+                "unresolved": bound is not None and spread > bound and not apart,
                 "pairs_change_lower": sum(c < p for p, c in zip(parent, change)),
                 "pairs_change_higher": sum(c > p for p, c in zip(parent, change)),
                 "pairs": len(parent),
@@ -148,7 +156,8 @@ def main(argv=None) -> int:
         print(f"{key:28s} {s['parent_median']:.4g} -> {s['change_median']:.4g}"
               f" ({s['change_vs_parent']:+.1%}, lower in"
               f" {s['pairs_change_lower']}/{s['pairs']})"
-              + ("  OVER BOUND" if s["over_bound"] else ""))
+              + ("  OVER BOUND" if s["over_bound"] else "")
+              + ("  UNRESOLVED" if s["unresolved"] else ""))
     worse = [workload for workload, calls in out["failed"].items()
              if _share(calls["change"]) > _share(calls["parent"])]
     for workload, calls in out["failed"].items():

@@ -9,8 +9,8 @@ count, measured by an analytic external-memory tally) or approximately
 
 from .approx import Estimate, PairSampler, estimate_inversions
 from .cells import Cell, RedBlueCells, audit_cells, build_cells
-from .core import (Point, PointSet, brute_force_count, dominates,
-                   mergesort_count, reduce_inversions)
+from .core import (Point, PointSet, brute_force_count, mergesort_count,
+                   reduce_inversions)
 from .counting import (AdaptiveCount, cap_schedule, count_adaptive,
                        count_adaptive_ram, count_capped, count_capped_ram,
                        count_nonadaptive, merge_count_dominance,
@@ -27,7 +27,7 @@ __all__ = [
     "brute_force_count", "build_blue_cutting",
     "build_cells", "build_red_cutting", "cap_schedule", "count_adaptive",
     "count_adaptive_ram", "count_capped", "count_capped_ram",
-    "count_nonadaptive", "dominates", "estimate_inversions", "generate",
+    "count_nonadaptive", "estimate_inversions", "generate",
     "merge_count_dominance", "mergesort_count", "ram_cap_schedule",
     "reduce_inversions",
 ]

@@ -230,36 +230,46 @@ class CellAudit:
                 f"size ratio {self.total_size_ratio:.2f}")
 
 
-def _cell_pairs(cell: Cell) -> np.ndarray:
-    """One column (red x, blue x) per domination pair; x is unique per color."""
-    r, b = cell.red, cell.blue
-    bi, ri = np.nonzero(dominance_mask(
-        b.x[:, None], b.y[:, None], b.tiebreak[:, None], r.x, r.y, r.tiebreak))
-    return np.stack([r.x[ri], b.x[bi]])
+def _input_index(side: PointSet, points: PointSet) -> np.ndarray:
+    """The index in ``points`` of each point of ``side``, by its x, which
+    is unique within a colour."""
+    if not np.isin(side.x, points.x).all():
+        raise ValueError(f"a cell holds a {side.color} point that is not in the input")
+    return np.searchsorted(points.x, side.x)
+
+
+def _pair_mask(red: PointSet, blue: PointSet) -> np.ndarray:
+    """The ``|blue| x |red|`` mask of domination pairs."""
+    return dominance_mask(blue.x[:, None], blue.y[:, None], blue.tiebreak[:, None],
+                          red.x, red.y, red.tiebreak)
 
 
 def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudit:
     """Exhaustively verify a successful cell family (meant for small N).
 
     Checks that the per-cell domination pairs partition the input's pairs
-    exactly and reports the measured size constants.
+    exactly and reports the measured size constants.  A pair is listed as
+    ``(red x, blue x)``, the lists sorted.
     """
     if result.failed:
         raise ValueError("cannot audit a failed cell construction")
     n = max(len(red), len(blue), 1)
 
-    found = [_cell_pairs(c) for c in result.cells]
-    total = sum(f.shape[1] for f in found)
-    # Every distinct pair, found or true, sorted by (red x, blue x); the
-    # first ``total`` columns are the found copies.
-    true = _cell_pairs(Cell(red=red, blue=blue))
-    heads, inv = np.unique(np.concatenate(found + [true], axis=1), axis=1,
-                           return_inverse=True)
-    n_found = np.bincount(inv[:total], minlength=heads.shape[1])
-    heads = heads.T
-    duplicates = list(map(tuple, heads[n_found > 1].tolist()))
-    missing = list(map(tuple, heads[n_found == 0].tolist()))
-    expected = true.shape[1]
+    # How often the cells find each pair, indexed by its blue and its red
+    # point's place in the input.  Within a cell the indices are unique.
+    found = np.zeros((len(blue), len(red)), dtype=np.int64)
+    for c in result.cells:
+        found[np.ix_(_input_index(c.blue, blue), _input_index(c.red, red))] += \
+            _pair_mask(c.red, c.blue)
+    true = _pair_mask(red, blue)
+    total, expected = int(found.sum()), int(np.count_nonzero(true))
+
+    def pairs(mask):
+        ri, bi = np.nonzero(mask.T)
+        return list(zip(red.x[ri].tolist(), blue.x[bi].tolist()))
+
+    duplicates = pairs(found > 1)
+    missing = pairs(true & (found == 0))
 
     small_side = max(
         (min(len(c.red), len(c.blue)) / (1 << c.level) for c in result.cells),

@@ -191,6 +191,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {seed}")
+    return seed
+
+
 def _add_common(p):
     p.add_argument("--n", type=int, default=1000, help="instance length")
     p.add_argument("--shape", default="random-permutation",
@@ -199,7 +210,7 @@ def _add_common(p):
                    help="target inversion count (target-inversions shape)")
     p.add_argument("--dup-frac", type=float, default=0.3,
                    help="duplicate fraction (duplicates shape)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--input", help="read values from FILE ('-' for stdin)")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the report (breaks byte-determinism)")
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kstar", required=True,
                          help="comma-separated target inversion counts")
     p_bench.add_argument("--seeds", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed, default=0)
     p_bench.add_argument("--timing", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -41,16 +41,6 @@ class Point(NamedTuple):
     tiebreak: int
 
 
-def dominates(b: Point, r: Point) -> bool:
-    """True iff blue point ``b`` dominates red point ``r``.
-
-    Domination is strict: larger x and smaller ``(y, tiebreak)`` key.
-    Equal values therefore never dominate, matching the strict ``>`` in
-    the inversion definition.
-    """
-    return bool(dominance_mask(*b, *r))
-
-
 def _integer(value, name: str) -> int:
     """``value`` as an int; a bool or a non-integral value is a ValueError."""
     if isinstance(value, bool):
@@ -169,10 +159,13 @@ def reduce_inversions(values) -> tuple[PointSet, PointSet]:
 
 
 def dominance_mask(bx, by, bt, rx, ry, rt) -> np.ndarray:
-    """Vectorized :func:`dominates`: blue ``(bx, by, bt)`` over red ``(rx, ry, rt)``.
+    """Whether blue ``(bx, by, bt)`` dominates red ``(rx, ry, rt)``.
 
-    The arguments broadcast, so a column of blue coordinates against a row
-    of red ones gives the mask of every pair.
+    Domination is strict: larger x and smaller ``(y, tiebreak)`` key.
+    Equal values therefore never dominate, matching the strict ``>`` in
+    the inversion definition.  The arguments broadcast, so a column of
+    blue coordinates against a row of red ones gives the mask of every
+    pair.
     """
     return (bx > rx) & ykey_less(by, bt, ry, rt)
 

@@ -26,8 +26,8 @@ order; within a subproblem labels never decrease along it, so it stays
 grouped by child with no work.  The cross-chunk pairs are ``f - 1``
 running counts along the X order, and a stable sort by (subproblem,
 label) groups the X order by child: one radix pass per 16-bit digit of
-``nodes * f``, or a timsort of few runs when the keys are presorted, in
-``_stable_argsort`` beside ``_distribute``.  So a level costs O(f)
+``nodes * f``, in ``_radix_argsort`` beside ``_distribute``, whatever
+order the keys arrive in.  So a level costs O(f)
 linear passes plus those radix passes, and the leaves O(B n) work in
 chunks of pairs.  One ``bincount`` over (subproblem, label, colour)
 gives every bucket size, and ``IoTally``'s
@@ -290,7 +290,8 @@ def _cross_pairs(is_red: np.ndarray, label: np.ndarray,
 
 
 def _radix_argsort(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``.
+    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``,
+    the distribution counter's partition of a level by child.
 
     One stable pass per 16-bit digit of ``bound - 1``, least significant
     first, each over the digit cast to the narrowest unsigned dtype, which
@@ -305,23 +306,6 @@ def _radix_argsort(key: np.ndarray, bound: int) -> np.ndarray:
     for shift in range(16, bits, 16):
         perm = perm[np.argsort(digit(key[perm], shift), kind="stable")]
     return perm
-
-
-#: Entries per descent below which keys count as presorted.  On the
-#: distribution counter's child keys numpy's timsort, which merges natural
-#: runs, took 0.79 ms against the radix passes' 1.78 at 223 entries per
-#: descent (few inversions) and 22.6 ms against 7.5 at 5 (many).
-PRESORTED_RUN = 8
-
-
-def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for integers ``0 <= key < bound``,
-    the distribution counter's partition of a level by child: by timsort
-    when the keys are presorted, as few inversions leave them, and by
-    ``_radix_argsort`` otherwise."""
-    if np.count_nonzero(key[1:] < key[:-1]) * PRESORTED_RUN < len(key):
-        return np.argsort(key, kind="stable")
-    return _radix_argsort(key, bound)
 
 
 def _distribute(xo: np.ndarray, ko: np.ndarray, krank: np.ndarray, nb: int,
@@ -364,7 +348,7 @@ def _distribute(xo: np.ndarray, ko: np.ndarray, krank: np.ndarray, nb: int,
         # The children: the X order partitioned stably by (node, label).
         # The K order is grouped so already, as labels never decrease
         # along a node.
-        xo = xo[_stable_argsort(node * np.int64(f) + lx, nodes * f)]
+        xo = xo[_radix_argsort(node * np.int64(f) + lx, nodes * f)]
         del node, lx
         sizes = buckets.reshape(nodes * f, 2)
 

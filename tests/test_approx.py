@@ -10,7 +10,7 @@ from invcount.approx import (EmptySampleSpaceError, REGIME_CELL, REGIME_EXACT,
                              REGIME_UNIFORM, _uniform_indices,
                              draw_uniform_pair, middle_regime_cap)
 from invcount.cells import Cell, RedBlueCells, build_cells
-from invcount.core import PointSet, dominates
+from invcount.core import PointSet, dominance_mask
 from invcount.iomodel import IoTally, RAM_PARAMS
 
 
@@ -92,7 +92,7 @@ class TestRegimeDispatch:
         assert est.regime == REGIME_UNIFORM and len(calls) == 1
         red, blue, m, ri, bi = calls[0]
         assert m == est.n_samples == 512 and est.sample_space == m * m
-        hits = sum(dominates(blue.point(j), red.point(i)) for i, j in zip(ri, bi))
+        hits = sum(dominance_mask(*blue.point(j), *red.point(i)) for i, j in zip(ri, bi))
         assert est.hits == hits and est.value == hits * m
 
     def test_deterministic_given_seed(self):
@@ -201,8 +201,7 @@ class TestPairSampler:
         for i, j in zip(ri, bi):
             r = (int(sampler.rx[i]), float(sampler.ry[i]), int(sampler.rt[i]))
             b = (int(sampler.bx[j]), float(sampler.by[j]), int(sampler.bt[j]))
-            from invcount.core import Point
-            expect += dominates(Point(*b), Point(*r))
+            expect += dominance_mask(*b, *r)
         assert sampler.count_hits(ri, bi) == expect
 
 
@@ -251,7 +250,7 @@ class TestUniformPairs:
         hits = 0
         for _ in range(m):
             r, b = draw_uniform_pair(red, blue, rng)
-            hits += dominates(b, r)
+            hits += dominance_mask(*b, *r)
         p = kstar / n**2
         sigma = np.sqrt(p * (1 - p) / m)
         assert abs(hits / m - p) <= 4 * sigma

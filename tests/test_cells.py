@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from invcount import (EmParams, InstanceSpec, IoTally, PairSampler,
                       RAM_PARAMS, audit_cells, brute_force_count,
-                      build_cells, count_capped, counting, dominates,
-                      generate, merge_count_dominance, mergesort_count,
+                      build_cells, core, count_capped, counting, generate,
+                      merge_count_dominance, mergesort_count,
                       reduce_inversions)
 from invcount.approx import middle_regime_cap
 from invcount.cells import Cell, RedBlueCells
@@ -128,7 +128,7 @@ class TestAudit:
         def pairs(r, b):
             return [(p.tiebreak, q.tiebreak)
                     for p in map(r.point, range(len(r)))
-                    for q in map(b.point, range(len(b))) if dominates(q, p)]
+                    for q in map(b.point, range(len(b))) if core.dominance_mask(*q, *p)]
 
         seen = Counter(p for c in built.cells for p in pairs(c.red, c.blue))
         audit = audit_cells(built, red, blue)
@@ -156,6 +156,18 @@ class TestAudit:
         built.cells.append(built.cells[0])
         assert audit_cells(built, red, blue).summary() == (
             "VIOLATION: pairs 558/300, small-side ratio 4.00, size ratio 2.28")
+
+    @pytest.mark.parametrize("color", ["red", "blue"])
+    @pytest.mark.parametrize("x", [-1, 5, 100])
+    def test_audit_refuses_a_foreign_point(self, color, x):
+        # Input x are 0, 2, 4, ..., 18: x = 5 lies between two of them, where
+        # an index by search alone would credit its pairs to a neighbour.
+        red, blue = reduce_inversions(np.arange(10.0)[::-1])
+        red, blue = (PointSet(2 * s.x, s.y, s.tiebreak, s.color) for s in (red, blue))
+        stray = PointSet([x], [4.5], [x], color)
+        cell = Cell(stray, blue) if color == "red" else Cell(red, stray)
+        with pytest.raises(ValueError, match=f"{color} point that is not in the input"):
+            audit_cells(RedBlueCells(cap=100, cells=[Cell(red, blue), cell]), red, blue)
 
     def test_audit_refuses_failed_build(self):
         red, blue, built = build(generate(InstanceSpec(256, "reverse")), 256)

@@ -249,6 +249,15 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and "--cap" in err
 
+    @pytest.mark.parametrize("argv", [["count", "--n", "10"], ["estimate", "--n", "10"],
+                                      ["bench", "--n", "10", "--kstar", "0"]])
+    def test_negative_seed_names_the_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-3"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "argument --seed: must be non-negative" in err
+
     def test_target_shape_requires_k(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--shape", "target-inversions", "--n", "100"])

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from invcount import (EmParams, InstanceSpec, IoTally, Point, PointSet,
                       brute_force_count, core, count_adaptive,
                       count_adaptive_ram, count_nonadaptive, counting,
-                      dominates, estimate_inversions, generate,
-                      mergesort_count, reduce_inversions)
+                      estimate_inversions, generate, mergesort_count,
+                      reduce_inversions)
 
 
 def oracle(values) -> int:
@@ -44,26 +44,26 @@ class TestReduction:
 
 class TestDominates:
     def test_right_and_below(self):
-        assert dominates(Point(3, 1.0, 3), Point(1, 5.0, 1))
+        assert core.dominance_mask(*Point(3, 1.0, 3), *Point(1, 5.0, 1))
 
     def test_equal_x_never_dominates(self):
-        assert not dominates(Point(1, 1.0, 1), Point(1, 5.0, 0))
+        assert not core.dominance_mask(*Point(1, 1.0, 1), *Point(1, 5.0, 0))
 
     def test_equal_values_resolved_by_tiebreak(self):
         # Later copy of an equal value must not create an inversion.
-        assert not dominates(Point(3, 5.0, 3), Point(1, 5.0, 1))
+        assert not core.dominance_mask(*Point(3, 5.0, 3), *Point(1, 5.0, 1))
         # ... but the earlier index loses to the later one reversed in x.
-        assert dominates(Point(3, 5.0, 1), Point(1, 5.0, 3))
+        assert core.dominance_mask(*Point(3, 5.0, 1), *Point(1, 5.0, 3))
 
     def test_irreflexive(self):
         p = Point(2, 3.0, 2)
-        assert not dominates(p, p)
+        assert not core.dominance_mask(*p, *p)
 
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_antisymmetric_on_reduction_points(self, i, j):
         a = Point(i, float(i % 7), i)
         b = Point(j, float(j % 7), j)
-        assert not (dominates(a, b) and dominates(b, a))
+        assert not (core.dominance_mask(*a, *b) and core.dominance_mask(*b, *a))
 
 
 class TestBruteForce:
@@ -117,7 +117,7 @@ class TestMergesortCount:
 class TestRadixArgsort:
     """The distribution counter's partition by child, which lives in
     ``counting``: a stable argsort of small integer keys, one radix pass
-    per 16-bit digit, or a timsort when the keys are presorted."""
+    per 16-bit digit, whatever order the keys arrive in."""
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 256, 257, 2**16, 2**16 + 1,
                                        2**20, 2**32])
@@ -146,43 +146,45 @@ class TestRadixArgsort:
 
     @pytest.mark.parametrize("swaps", [0, 1, 40, 600, 2500])
     def test_presorted_keys(self, swaps):
-        # Adjacent swaps in sorted keys with ties: from presorted (timsort)
-        # to more than one descent per PRESORTED_RUN keys (radix).
+        # Adjacent swaps in sorted keys with ties: from presorted to more
+        # than one descent per ten keys.
         rng = np.random.default_rng(swaps)
         key = np.sort(rng.integers(0, 2**17, 5000))
         key[rng.integers(0, 2500, 500) * 2] = 7
         for i in rng.integers(0, len(key) - 1, swaps):
             key[i], key[i + 1] = key[i + 1], key[i]
-        assert np.array_equal(counting._stable_argsort(key, 2**17),
+        assert np.array_equal(counting._radix_argsort(key, 2**17),
                               np.argsort(key, kind="stable"))
 
-    def test_only_unsorted_keys_take_radix_passes(self, monkeypatch):
-        bounds = []
+    def test_presorted_child_sorts_take_radix_passes(self, monkeypatch):
+        # Few inversions leave the child keys of every level presorted:
+        # at most one descent per eight keys.
+        values = generate(InstanceSpec(4096, "target_inversions", seed=2, target=64))
+        radix, keys = counting._radix_argsort, []
 
         def spy(key, bound):
-            bounds.append(bound)
-            return np.argsort(key, kind="stable")
+            keys.append(key)
+            return radix(key, bound)
 
         monkeypatch.setattr(counting, "_radix_argsort", spy)
-        presorted = np.repeat(np.arange(100), 50)
-        counting._stable_argsort(presorted, 100)
-        assert bounds == []
-        counting._stable_argsort(np.random.default_rng(0).permutation(presorted), 100)
-        assert bounds == [100]
+        params = EmParams(64, 1)
+        red, blue = reduce_inversions(values)
+        assert (count_nonadaptive(red, blue, params, IoTally(params))
+                == mergesort_count(values))
+        assert keys and all(np.count_nonzero(k[1:] < k[:-1]) * 8 < len(k)
+                            for k in keys)
 
     @pytest.mark.parametrize("bound", [0, 1, 300, 2**20])
     def test_empty_input(self, bound):
-        for sort in (counting._radix_argsort, counting._stable_argsort):
-            perm = sort(np.zeros(0, dtype=np.int64), bound)
-            assert perm.dtype == np.intp and len(perm) == 0
+        perm = counting._radix_argsort(np.zeros(0, dtype=np.int64), bound)
+        assert perm.dtype == np.intp and len(perm) == 0
 
     @pytest.mark.parametrize("bound", [1, 200, 2**17])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_returns_index_dtype(self, bound, dtype):
         key = (np.arange(1000) * 7919 % bound).astype(dtype)
         assert counting._radix_argsort(key, bound).dtype == np.intp
-        assert counting._stable_argsort(key, bound).dtype == np.intp
-        assert counting._stable_argsort(np.sort(key), bound).dtype == np.intp
+        assert counting._radix_argsort(np.sort(key), bound).dtype == np.intp
 
 
 class TestValidation:

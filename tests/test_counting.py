@@ -14,7 +14,7 @@ from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       counting, generate, merge_count_dominance,
                       mergesort_count, ram_cap_schedule, reduce_inversions)
 from invcount.cells import STOP_SIZE, Cell, RedBlueCells
-from invcount.core import PointSet, dominates
+from invcount.core import PointSet
 
 PARAMS = EmParams(2048, 32)
 
@@ -126,8 +126,8 @@ class TestBatchedCells:
         cells = [Cell(points([0], [5], "red"), points([1], [9], "blue")),
                  Cell(points([0, 3], [10, 7], "red"), points([3], [0], "blue")),
                  Cell(points([2], [0], "red"), points([], [], "blue"))]
-        assert dominates(cells[1].blue.point(0), cells[0].red.point(0))
-        assert dominates(cells[0].blue.point(0), cells[1].red.point(0))
+        assert core.dominance_mask(*cells[1].blue.point(0), *cells[0].red.point(0))
+        assert core.dominance_mask(*cells[0].blue.point(0), *cells[1].red.point(0))
         assert per_cell_brute(cells) == 1
         assert counting._count_cells(RedBlueCells(1, cells=cells),
                                      merge_count_dominance) == 1

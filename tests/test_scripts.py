@@ -86,24 +86,31 @@ def test_bench_pairs(tmp_path):
 
 
 def fake_checkout(path, correct, failed, wall_s=1.0):
-    """A checkout whose ``benchmark/run.py`` prints one fixed result."""
+    """A checkout whose ``benchmark/run.py`` prints one result per run,
+    reading ``wall_s`` in turn when it is a list."""
     (path / "benchmark").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    walls = wall_s if isinstance(wall_s, list) else [wall_s]
     result = {"correct": correct, "attempted": 10, "failed": failed,
-              "metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}
+              "metrics": {"wall_s": {"value": None, "unit": "s"}}}
     (path / "benchmark" / "run.py").write_text(
-        "import json\n"
+        "import json, pathlib\n"
+        "runs = pathlib.Path('runs')\n"
+        "i = len(runs.read_text()) if runs.exists() else 0\n"
+        "runs.write_text('.' * (i + 1))\n"
+        f"result = {result!r}\n"
+        f"result['metrics']['wall_s']['value'] = {walls!r}[i % {len(walls)}]\n"
         "print('provenance ' + json.dumps({'workload': 'w', 'commit': 'c'}))\n"
-        f"print(json.dumps({result!r}))\n")
+        "print(json.dumps(result))\n")
     return path
 
 
-def run_pairs(tmp_path, change):
-    parent = fake_checkout(tmp_path / "parent", True, 1)
+def run_pairs(tmp_path, change, parent_wall_s=1.0, pairs=2):
+    parent = fake_checkout(tmp_path / "parent", True, 1, parent_wall_s)
     out = tmp_path / "pairs.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
-         "--parent", str(parent), "--change", str(change), "--pairs", "2",
+         "--parent", str(parent), "--change", str(change), "--pairs", str(pairs),
          "--workload", "w", "--out", str(out)],
         capture_output=True, text=True, timeout=60)
     return proc, out
@@ -135,5 +142,24 @@ def test_bench_pairs_flags_a_metric_past_its_bound(tmp_path):
         assert proc.returncode == 0, proc.stderr
         s = json.loads(out.read_text())["summary"]["w/wall_s"]
         assert s["bound"] == bound and s["over_bound"] is over
+        assert s["unresolved"] is False
         line = next(l for l in proc.stdout.splitlines() if l.startswith("w/wall_s"))
         assert line.endswith("OVER BOUND") is over
+
+
+def test_bench_pairs_marks_a_spread_parent_unresolved(tmp_path):
+    # The parent reads 1 and 2 in turn: an interquartile range of 2/3 of
+    # its median, past wall_s's bound, so only a change whose every run
+    # reads below every parent run resolves.
+    for name, wall_s, unresolved in [("same", [1.0, 2.0], True),
+                                     ("near", [0.9, 1.1], True),
+                                     ("apart", [0.5, 0.9], False)]:
+        base = tmp_path / name
+        proc, out = run_pairs(base, fake_checkout(base / "change", True, 1, wall_s),
+                              parent_wall_s=[1.0, 2.0], pairs=4)
+        assert proc.returncode == 0, proc.stderr
+        s = json.loads(out.read_text())["summary"]["w/wall_s"]
+        assert s["parent_quartiles"] == [1.0, 2.0]
+        assert s["unresolved"] is unresolved and s["over_bound"] is False
+        line = next(l for l in proc.stdout.splitlines() if l.startswith("w/wall_s"))
+        assert line.endswith("UNRESOLVED") is unresolved
