@@ -27,12 +27,11 @@ grouped by child with no work.  The cross-chunk pairs are ``f - 1``
 running counts along the X order, and a stable sort by (subproblem,
 label) groups the X order by child: one radix pass per 16-bit digit of
 ``nodes * f``, in ``_radix_argsort`` beside ``_distribute``, whatever
-order the keys arrive in.  So a level costs O(f)
-linear passes plus those radix passes, and the leaves O(B n) work in
-chunks of pairs.  One ``bincount`` over (subproblem, label, colour)
-gives every bucket size, and ``IoTally``'s
-array rules charge the level's passes from those sizes, with the same
-charges as a recursion node by node.
+order the keys arrive in.  So a level costs O(f) linear passes plus
+those radix passes, and the leaves O(B n) work in chunks of pairs.  One
+``bincount`` over (subproblem, label, colour) gives every bucket size,
+and ``IoTally``'s array rules charge the level's passes from those
+sizes, with the same charges as a recursion node by node.
 
 The capped counter builds red-blue cells for a cap ``K`` and counts the
 pairs inside each cell; it may report failure, which certifies the true

@@ -146,8 +146,8 @@ class TestRadixArgsort:
 
     @pytest.mark.parametrize("swaps", [0, 1, 40, 600, 2500])
     def test_presorted_keys(self, swaps):
-        # Adjacent swaps in sorted keys with ties: from presorted to more
-        # than one descent per ten keys.
+        # Sorted keys with ties, then from no adjacent swap to one per two
+        # keys.
         rng = np.random.default_rng(swaps)
         key = np.sort(rng.integers(0, 2**17, 5000))
         key[rng.integers(0, 2500, 500) * 2] = 7
@@ -184,7 +184,6 @@ class TestRadixArgsort:
     def test_returns_index_dtype(self, bound, dtype):
         key = (np.arange(1000) * 7919 % bound).astype(dtype)
         assert counting._radix_argsort(key, bound).dtype == np.intp
-        assert counting._radix_argsort(np.sort(key), bound).dtype == np.intp
 
 
 class TestValidation:
