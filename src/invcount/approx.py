@@ -28,7 +28,7 @@ from math import ceil, log2
 import numpy as np
 
 from .cells import RedBlueCells, build_cells
-from .core import PointSet, reduce_inversions, ykey_less
+from .core import PointSet, _integer, reduce_inversions, ykey_less
 from .counting import count_capped_ram
 from .iomodel import IoTally, RAM_PARAMS
 
@@ -121,6 +121,9 @@ def middle_regime_cap(n: int) -> int:
 
 def estimate_inversions(values, seed: int) -> Estimate:
     """Estimate the inversion count of a list in roughly linear time."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     red, blue = reduce_inversions(values)
     n = len(red)
     if n < 1:

@@ -20,7 +20,8 @@ A built family is one flat layout, the form the comparison-model counter
 and the pair sampler read: the ``x``, ``y`` and ``tiebreak`` of every blue
 point of every cell and then of every red point, each colour in cell
 order, the cell sizes as two rows (blue, red), and one level per cell.
-No per-cell object is made unless a caller reads ``RedBlueCells.cells``.
+It is the family's only form: ``RedBlueCells.cells`` is a tuple of
+per-cell views of it, made only when a caller reads it.
 Beyond the cutting's sweep, a half-level costs a constant number of numpy
 passes over its points: one classification, one stable sort of the cell
 labels, one ``bincount``, one mask over the cutting's members, and one
@@ -31,6 +32,7 @@ the end, so the family's points are held once.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,60 +60,52 @@ class Cell:
     level: int = 0
 
 
-def _gather(cells: list[Cell]) -> tuple[np.ndarray, ...]:
-    """``x, y, tiebreak`` of every blue point of ``cells`` and then every
-    red one, each colour in cell order, and the sizes as two rows: the
-    blue and the red size of each cell."""
-    sides = [c.blue for c in cells] + [c.red for c in cells]
-    sizes = np.array([len(s) for s in sides], dtype=np.int64).reshape(2, -1)
-    x, y, t = (np.concatenate([getattr(s, a) for s in sides] or [np.empty(0, dt)])
-               for a, dt in (("x", np.int64), ("y", np.float64),
-                             ("tiebreak", np.int64)))
-    return x, y, t, sizes
-
-
 class RedBlueCells:
     """Outcome of the cell construction for one cap value.
 
-    A built family is held as the flat layout of the module docstring,
-    which ``layout()`` returns.  The first read of ``cells`` builds a list
-    of ``Cell``s whose sides are views of the layout; from then on that
-    list is the family, as is a list assigned to ``cells`` or passed to
-    the constructor, and ``layout()`` regathers it, so a changed list
-    counts and samples as it stands.
+    The family is held once, as the flat layout of the module docstring,
+    which ``layout()`` returns, and the level of each cell.  ``cells`` is a
+    tuple of ``Cell``s whose sides are views of the layout, made on its
+    first read.  A sequence of ``Cell``s assigned to ``cells`` or passed to
+    the constructor is gathered into a new layout.
     """
 
-    def __init__(self, cap: int, cells: list[Cell] | None = None,
-                 failed: bool = False):
-        self.cap = cap
+    def __init__(self, cap: int, cells: Sequence[Cell] = (), failed: bool = False):
+        self.cap = _integer(cap, "cap")
+        if self.cap < 1:
+            raise ValueError("cap must be at least 1")
         self.failed = failed
-        self._cells = [] if cells is None else cells
-        self._layout: tuple[np.ndarray, ...] | None = None
-        self._levels: np.ndarray | None = None
+        self.cells = cells
 
     @property
-    def cells(self) -> list[Cell]:
-        if self._cells is None:
+    def cells(self) -> tuple[Cell, ...]:
+        if self._views is None:
             x, y, t, sizes = self._layout
             nb = int(sizes[0].sum())
             blue = _unchecked(x[:nb], y[:nb], t[:nb], "blue")
             red = _unchecked(x[nb:], y[nb:], t[nb:], "red")
             b_ends, r_ends = np.cumsum(sizes, axis=1).tolist()
-            self._cells = [
+            self._views = tuple(
                 Cell(red._take(slice(r0, r1)), blue._take(slice(b0, b1)), level)
                 for b0, b1, r0, r1, level in zip([0] + b_ends, b_ends, [0] + r_ends,
-                                                 r_ends, self._levels.tolist())]
-            self._layout = self._levels = None
-        return self._cells
+                                                 r_ends, self._levels.tolist()))
+        return self._views
 
     @cells.setter
-    def cells(self, cells: list[Cell]) -> None:
-        self._cells, self._layout, self._levels = cells, None, None
+    def cells(self, cells: Sequence[Cell]) -> None:
+        sides = [c.blue for c in cells] + [c.red for c in cells]
+        sizes = np.array([len(s) for s in sides], dtype=np.int64).reshape(2, -1)
+        x, y, t = (np.concatenate([np.empty(0, dt)] + [getattr(s, a) for s in sides])
+                   for a, dt in (("x", np.int64), ("y", np.float64),
+                                 ("tiebreak", np.int64)))
+        self._layout = (x, y, t, sizes)
+        self._levels = np.array([c.level for c in cells], dtype=np.int64)
+        self._views = None
 
     def layout(self) -> tuple[np.ndarray, ...]:
         """``x, y, tiebreak`` of every blue point and then every red point,
         each colour in cell order, and the sizes as two rows (blue, red)."""
-        return self._layout if self._cells is None else _gather(self._cells)
+        return self._layout
 
 
 def _half_level(build, base: PointSet, base_at: np.ndarray, others: PointSet,
@@ -154,15 +148,12 @@ def _half_level(build, base: PointSet, base_at: np.ndarray, others: PointSet,
 
 def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedBlueCells:
     """Build red-blue cells for ``cap``; may report failure iff truth > cap."""
-    cap = _integer(cap, "cap")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    n0 = max(len(red), len(blue))
+    result = RedBlueCells(cap)
+    cap, n0 = result.cap, max(len(red), len(blue))
     # One group per half-level (and the leaf): the indices into ``red``
     # and into ``blue`` of its cells' points, cell after cell, the cells'
     # sizes as two rows (blue, red), and the level.
     groups: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
-    failed = False
     cur_red, cur_blue = red, blue
     red_at, blue_at = np.arange(len(red)), np.arange(len(blue))
     level = 0
@@ -178,19 +169,18 @@ def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedB
         deep = _half_level(build_red_cutting, cur_red, red_at, cur_blue, blue_at,
                            depth, n0, level, groups, tally)
         if deep is None or len(deep) == 0:
-            failed = deep is None
+            result.failed = deep is None
             break
         cur_blue, blue_at = cur_blue._take(deep), blue_at[deep]
         deep = _half_level(build_blue_cutting, cur_blue, blue_at, cur_red, red_at,
                            depth, n0, level, groups, tally)
         if deep is None:
-            failed = True
+            result.failed = True
             break
         cur_red, red_at = cur_red._take(deep), red_at[deep]
         tally.charge_write(len(cur_red) + len(cur_blue))
         level += 1
 
-    result = RedBlueCells(cap=cap, failed=failed)
     none = np.empty(0, np.intp)
     red_at, blue_at = (np.concatenate([g[i] for g in groups] + [none]) for i in (0, 1))
     sizes = np.concatenate([g[2] for g in groups] + [np.empty((2, 0), np.int64)],
@@ -207,7 +197,7 @@ def build_cells(red: PointSet, blue: PointSet, cap: int, tally: IoTally) -> RedB
         np.take(getattr(blue, a), blue_at, out=col[:nb], mode="clip")
         np.take(getattr(red, a), red_at, out=col[nb:], mode="clip")
         coords.append(col)
-    result._cells, result._layout = None, (*coords, sizes)
+    result._layout = (*coords, sizes)
     return result
 
 
@@ -271,11 +261,9 @@ def audit_cells(result: RedBlueCells, red: PointSet, blue: PointSet) -> CellAudi
     duplicates = pairs(found > 1)
     missing = pairs(true & (found == 0))
 
-    small_side = max(
-        (min(len(c.red), len(c.blue)) / (1 << c.level) for c in result.cells),
-        default=0.0)
-    size_sum = max(sum(len(c.red) for c in result.cells),
-                   sum(len(c.blue) for c in result.cells))
+    sizes = result.layout()[3]
+    small_side = float((sizes.min(axis=0) / 2.0 ** result._levels).max(initial=0.0))
+    size_sum = int(sizes.sum(axis=1).max())
     ok = not duplicates and not missing and total == expected
     return CellAudit(
         ok=ok,

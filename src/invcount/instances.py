@@ -142,9 +142,12 @@ def generate(spec: InstanceSpec) -> np.ndarray:
     target = None if spec.target is None else _integer(spec.target, "target")
     if n < 0:
         raise ValueError("n must be non-negative")
+    seed = _integer(spec.seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if not 0.0 <= spec.dup_fraction <= 1.0:
         raise ValueError("dup_fraction must lie in [0, 1]")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if spec.shape == "sorted":
         return np.arange(n, dtype=np.float64)
     if spec.shape == "reverse":

@@ -106,6 +106,13 @@ class TestRegimeDispatch:
         with pytest.raises(ValueError):
             estimate_inversions([], seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, 1.5, None, -1],
+                             ids=["bool", "float", "fraction", "none", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # Checked before any regime: a sorted list is counted exactly.
+        with pytest.raises(ValueError, match="seed must be"):
+            estimate_inversions([0.0, 1.0, 2.0], seed=seed)
+
 
 class TestMiddleRegimeCap:
     def test_tiny_inputs(self):
@@ -158,9 +165,11 @@ class TestPairSampler:
         fam = self._family([2, 3])
         none = PointSet(np.array([], dtype=np.int64), np.array([]),
                         np.array([], dtype=np.int64), side)
-        full = fam.cells[0]
-        fam.cells.insert(at, Cell(red=none, blue=full.blue) if side == "red"
-                         else Cell(red=full.red, blue=none))
+        cells = list(fam.cells)
+        full = cells[0]
+        cells.insert(at, Cell(red=none, blue=full.blue) if side == "red"
+                     else Cell(red=full.red, blue=none))
+        fam.cells = cells
         sampler = PairSampler(fam)
         assert sampler.total == 1 * 2 + 1 * 3
         _, _, cells = sampler.draw_many(np.random.default_rng(11), 100_000)

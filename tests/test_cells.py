@@ -55,9 +55,17 @@ class TestContract:
         with pytest.raises(ValueError, match="cap must be an integer"):
             build_cells(red, blue, cap, IoTally(RAM_PARAMS))
 
+    @pytest.mark.parametrize("cap", [0, -3, True, 2.5, None])
+    def test_family_refuses_a_cap_below_one_or_not_an_integer(self, cap):
+        # The audit divides by the cap, so the family checks it once, for
+        # build_cells as well.
+        red, blue = reduce_inversions([2.0, 1.0])
+        with pytest.raises(ValueError, match="cap must be"):
+            audit_cells(RedBlueCells(cap=cap), red, blue)
+
     def test_empty_input(self):
         _, _, built = build([], 5)
-        assert not built.failed and built.cells == []
+        assert not built.failed and built.cells == ()
 
     def test_failed_rounds_charge_only_scans(self):
         """A failed build's tally must not depend on corner or cell counts."""
@@ -101,7 +109,7 @@ class TestAudit:
                                        target=300))
         red, blue, built = build(values, 1600)
         assert not built.failed and len(built.cells) >= 1
-        built.cells.append(built.cells[0])
+        built.cells = [*built.cells, built.cells[0]]
         audit = audit_cells(built, red, blue)
         assert not audit.ok
         assert audit.duplicate_pairs
@@ -112,7 +120,7 @@ class TestAudit:
         assert not built.failed
         dropped = [c for c in built.cells if len(c.red) * len(c.blue) > 0]
         assert dropped
-        built.cells.remove(dropped[0])
+        built.cells = [c for c in built.cells if c is not dropped[0]]
         audit = audit_cells(built, red, blue)
         assert not audit.ok
 
@@ -122,8 +130,7 @@ class TestAudit:
         red, blue, built = build(values, 16 * 200)
         hit = [c for c in built.cells if brute_force_count(c.red, c.blue)]
         assert len(hit) >= 2
-        built.cells.remove(hit[0])
-        built.cells.append(hit[1])
+        built.cells = [*(c for c in built.cells if c is not hit[0]), hit[1]]
 
         def pairs(r, b):
             return [(p.tiebreak, q.tiebreak)
@@ -153,7 +160,7 @@ class TestAudit:
         red, blue, built = build(values, 1600)
         assert audit_cells(built, red, blue).summary() == (
             "ok: pairs 300/300, small-side ratio 4.00, size ratio 1.64")
-        built.cells.append(built.cells[0])
+        built.cells = [*built.cells, built.cells[0]]
         assert audit_cells(built, red, blue).summary() == (
             "VIOLATION: pairs 558/300, small-side ratio 4.00, size ratio 2.28")
 
@@ -168,6 +175,31 @@ class TestAudit:
         cell = Cell(stray, blue) if color == "red" else Cell(red, stray)
         with pytest.raises(ValueError, match=f"{color} point that is not in the input"):
             audit_cells(RedBlueCells(cap=100, cells=[Cell(red, blue), cell]), red, blue)
+
+    def test_corruption_between_cells_is_reported(self):
+        """Criterion 3's 200 instances (rng seed 7) at ``cap = max(K*, 1)``,
+        where the pairs spread over several cells, unlike at criterion 3's
+        own caps: each build passes the audit, and a copy with one
+        pair-holding cell duplicated, or dropped, fails it."""
+        rng = np.random.default_rng(7)
+        shapes = ["sorted", "reverse", "random_permutation", "random_real",
+                  "duplicates"]
+        spread = 0
+        for i in range(200):
+            n = int(rng.integers(64, 501))
+            rng.integers(1, max(2, n // 3))  # criterion 3's cutting depth
+            values = generate(InstanceSpec(n, shapes[i % len(shapes)], seed=i))
+            red, blue, built = build(values, max(mergesort_count(values), 1))
+            assert not built.failed and audit_cells(built, red, blue).ok
+            cells = built.cells
+            hit = [c for c in cells if brute_force_count(c.red, c.blue)]
+            if len(hit) < 2:
+                continue
+            spread += 1
+            for family in ([*cells, hit[0]], [c for c in cells if c is not hit[0]]):
+                built.cells = family
+                assert not audit_cells(built, red, blue).ok
+        assert spread == 64
 
     def test_audit_refuses_failed_build(self):
         red, blue, built = build(generate(InstanceSpec(256, "reverse")), 256)
@@ -228,8 +260,9 @@ class TestProperties:
 
 
 class TestLayout:
-    """A built family is a flat layout until ``.cells`` is read; from then
-    on the list is the family.  Both give the same counts and draws."""
+    """A family is held once, as its flat layout.  Reading ``.cells`` makes
+    views of it and changes nothing; assigning ``.cells`` gathers the
+    assigned cells into a new layout."""
 
     N = 300
     SAMPLER = ("total", "bx", "r_offs", "r_sizes", "b_offs", "b_sizes")
@@ -278,16 +311,29 @@ class TestLayout:
         assert np.array_equal(t, np.concatenate([s.tiebreak for s in sides]))
         assert len({c.level for c in cells}) > 1
 
-    def test_appending_to_the_read_list_adds_its_pairs(self):
+    def test_reading_cells_keeps_the_layout(self):
+        red, blue = reduce_inversions(generate(InstanceSpec(
+            self.N, "target_inversions", seed=3, target=2 * self.N)))
+        built = build_cells(red, blue, self.N, IoTally(RAM_PARAMS))
+        before = built.layout()
+        cells = built.cells
+        assert len(cells) > 1 and built.cells is cells
+        assert all(a is b for a, b in zip(before, built.layout()))
+        with pytest.raises(AttributeError):
+            cells.append(cells[0])
+        with pytest.raises(TypeError):
+            cells[0] = cells[1]
+
+    def test_assigning_cells_adds_their_pairs(self):
         values = generate(InstanceSpec(self.N, "target_inversions", seed=3,
                                        target=2 * self.N))
         red, blue = reduce_inversions(values)
         built = build_cells(red, blue, 16 * self.N, IoTally(RAM_PARAMS))
         before = counting._count_cells(built, merge_count_dominance)
+        total = PairSampler(built).total
         extra = Cell(red._take(slice(0, 40)), blue._take(slice(0, 40)))
         assert brute_force_count(extra.red, extra.blue) > 0
-        built.cells.append(extra)
+        built.cells = [*built.cells, extra]
         assert counting._count_cells(built, merge_count_dominance) == (
             before + brute_force_count(extra.red, extra.blue))
-        assert PairSampler(built).total == sum(
-            len(c.red) * len(c.blue) for c in built.cells)
+        assert PairSampler(built).total == total + 40 * 40

@@ -232,7 +232,8 @@ class TestBatchedDistribution:
         def refuse(family):
             raise AssertionError("the I/O round read RedBlueCells.cells")
 
-        monkeypatch.setattr(RedBlueCells, "cells", property(refuse))
+        monkeypatch.setattr(RedBlueCells, "cells",
+                            property(refuse, RedBlueCells.cells.fset))
         assert count_capped(red, blue, kstar, PARAMS, IoTally(PARAMS)) == kstar
         assert count_adaptive(red, blue, PARAMS, IoTally(PARAMS)).count == kstar
 

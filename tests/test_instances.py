@@ -63,6 +63,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             generate(spec)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, 1.5, None, -1],
+                             ids=["bool", "float", "fraction", "none", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            generate(InstanceSpec(10, "random_permutation", seed=seed))
+
     def test_numpy_integers_accepted(self):
         values = generate(InstanceSpec(np.int64(10), "target_inversions",
                                        target=np.int32(7)))
