@@ -4,7 +4,9 @@
 Sweeps a grid of target inversion counts at fixed (N, M, B), runs the
 adaptive counter on several seeded instances per grid point, and prints one
 summary row per point: mean/min/max I/O, rounds, and the ratio to the
-zero-inversion baseline.
+zero-inversion baseline.  Each row also gives the median wall seconds,
+over the seeds, of the comparison-model counters on the same instances:
+``count_adaptive_ram`` (``ram_s``) and ``mergesort_count`` (``merge_s``).
 
 Example:
     python3 scripts/adaptivity_sweep.py --n 131072 --mem 1024 --block 32 \
@@ -14,11 +16,21 @@ Example:
 from __future__ import annotations
 
 import argparse
+import statistics
+import time
 
 import numpy as np
 
 from invcount import (EmParams, InstanceSpec, IoTally, count_adaptive,
-                      generate, reduce_inversions)
+                      count_adaptive_ram, generate, mergesort_count,
+                      reduce_inversions)
+
+
+def timed(fn, *args):
+    """``fn(*args)`` and the wall seconds it took."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
 
 
 def main() -> int:
@@ -37,11 +49,11 @@ def main() -> int:
         ap.error("--kstar must start at 0, the baseline of vs_zero")
     print(f"n={args.n} mem={args.mem} block={args.block} seeds={args.seeds}")
     print(f"{'kstar':>14} {'mean_io':>12} {'min_io':>10} {'max_io':>10} "
-          f"{'rounds':>6} {'vs_zero':>8}")
+          f"{'rounds':>6} {'vs_zero':>8} {'ram_s':>8} {'merge_s':>8}")
 
     baseline = None
     for kstar in targets:
-        ios, rounds = [], set()
+        ios, rounds, ram_s, merge_s = [], set(), [], []
         for seed in range(args.seeds):
             values = generate(InstanceSpec(args.n, "target_inversions",
                                            seed=seed, target=kstar))
@@ -51,12 +63,19 @@ def main() -> int:
             assert res.count == kstar
             ios.append(tally.total)
             rounds.add(res.rounds)
+            ram, secs = timed(count_adaptive_ram, red, blue)
+            assert ram.count == kstar
+            ram_s.append(secs)
+            count, secs = timed(mergesort_count, values)
+            assert count == kstar
+            merge_s.append(secs)
         mean = float(np.mean(ios))
         if baseline is None:
             baseline = mean
         print(f"{kstar:>14} {mean:>12.1f} {min(ios):>10} {max(ios):>10} "
               f"{'/'.join(map(str, sorted(rounds))):>6} "
-              f"{mean / baseline:>8.2f}")
+              f"{mean / baseline:>8.2f} {statistics.median(ram_s):>8.4f} "
+              f"{statistics.median(merge_s):>8.4f}")
     return 0
 
 

@@ -139,7 +139,9 @@ def estimate_inversions(values, seed: int) -> Estimate:
     if not built.failed:
         sampler = PairSampler(built)
         space = sampler.total
-        ri, bi, _ = sampler.draw_many(rng, n)
+        # Not ``ri, bi, _``: the drawn cells would stay alive through
+        # the hit test, the call's memory peak.
+        ri, bi = sampler.draw_many(rng, n)[:2]
         hits = sampler.count_hits(ri, bi)
         regime, epsilon = REGIME_CELL, log2(n) / n**0.25
     else:

@@ -13,8 +13,8 @@ equal key is labelled above it.  The K order below puts red first on an
 equal key, so the split-side points before such a blue, less one, are
 that red's rank: one pass of running counts ranks every point.  Once the
 smaller side of a subproblem has at most ``B`` points, both sides are
-charged as read and every pair is tested with ``core.dominance_mask``:
-O(B n) RAM work on data already in memory, with no further I/O.
+charged as read and every pair is tested by ``_cell_pairs``: O(B n) RAM
+work on data already in memory, with no further I/O.
 
 The recursion runs level by level, as distribution sweeping does, over
 every cell of a batch at once.  A level holds all its subproblems as two
@@ -49,15 +49,20 @@ last round, so the I/O count adapts to the true number of pairs.
 
 The comparison/RAM-model rounds (``count_capped_ram``, and
 ``count_adaptive_ram`` over ``ram_cap_schedule``) call
-``merge_count_dominance(red, blue, sizes)`` once per batch: one call of
-the position-inversion kernel.  Every point carries the id of its cell;
-positions sort by ``(cell, x, blue first on equal x)`` and keys by
-``(cell, y, tiebreak)``, so only pairs within a cell count.  A batch of
-``n`` points costs one O(n log n) sort, then the ``ceil(log2 n)``
-vectorized kernel passes, each ending in one stable sort: O(n log^2 n)
-comparisons.  The kernel lives in ``core`` beside
-``core.mergesort_count``, its other user.  Only the I/O-model counters
-reach the distribution counter.
+``merge_count_dominance(red, blue, sizes)`` once per batch of ``n``
+points.  A batch whose candidate pairs, the sum over its cells of
+``|blue| * |red|``, number at most ``n * ceil(log2 n)`` tests each of
+them with ``_cell_pairs``, the distribution leaves' pair test.  Cells
+built for a cap of O(N) have an O(1) smaller side and O(N) points in
+all, so the estimator's exact round, at cap ``N``, is O(N) work.  Any
+other batch takes one call of the position-inversion kernel.  Every
+point carries the id of its cell; positions sort by ``(cell, x, blue
+first on equal x)`` and keys by ``(cell, y, tiebreak)``, so only pairs
+within a cell count.  That costs one O(n log n) sort, then the
+``ceil(log2 n)`` vectorized kernel passes, each ending in one stable
+sort: O(n log^2 n) comparisons, which bound the pair test too.  The
+kernel lives in ``core`` beside ``core.mergesort_count``, its other
+user.  Only the I/O-model counters reach the distribution counter.
 """
 
 from __future__ import annotations
@@ -110,17 +115,72 @@ def _count_cells(family: RedBlueCells, count: Callable[..., int]) -> int:
                for lo, hi, b0, b1, r0, r1 in _batches(sizes))
 
 
+#: Pairs one comparison pass of ``_cell_pairs`` holds.
+_LEAF_PAIRS = 2**15
+
+
+def _cell_pairs(blue: tuple, red: tuple, n_blue: np.ndarray,
+                n_red: np.ndarray) -> int:
+    """Domination pairs of every blue with each red of its cell, by
+    testing every pair with ``core.dominance_mask``.
+
+    ``blue`` and ``red`` hold each colour's ``x``, ``y`` and ``tiebreak``,
+    cell after cell, and ``n_blue`` and ``n_red`` the cells' sizes; a
+    coordinate may be a scalar that all points share.  The pair list is
+    expanded ``_LEAF_PAIRS`` at a time: O(pairs) work, and O(``_LEAF_PAIRS``)
+    words per pass.
+    """
+    # Row i pairs blue i with the reds of its cell,
+    # red[first[i]:first[i] + width[i]].
+    width = np.repeat(n_red, n_blue)
+    first = np.repeat(np.cumsum(n_red) - n_red, n_blue)
+    ends = np.cumsum(width)
+    n_pairs = int(ends[-1]) if len(ends) else 0
+    total = 0
+    for p0 in range(0, n_pairs, _LEAF_PAIRS):
+        p1 = min(p0 + _LEAF_PAIRS, n_pairs)
+        i0, i1 = np.searchsorted(ends, [p0, p1 - 1], side="right")
+        rows = slice(i0, i1 + 1)
+        row_p0 = ends[rows] - width[rows]
+        n = np.minimum(ends[rows], p1) - np.maximum(row_p0, p0)
+        col = np.arange(p0, p1)
+        col -= np.repeat(row_p0 - first[rows], n)
+        # A row's blue repeats, so its coordinates need no index array:
+        # one array less per pass, which kept estimate-sparse peak RSS
+        # from rising.
+        total += int(np.count_nonzero(dominance_mask(
+            *(np.repeat(c[rows], n) if np.ndim(c) else c for c in blue),
+            *(c[col] if np.ndim(c) else c for c in red))))
+    return total
+
+
+def _few_pairs(sizes: np.ndarray) -> bool:
+    """Whether a batch's candidate pairs, the sum over its cells of
+    ``|blue| * |red|``, number at most ``n * ceil(log2 n)`` for its ``n``
+    points: the element-passes of ``count_position_inversions``."""
+    n = int(sizes.sum())
+    return int(sizes[0] @ sizes[1]) <= n * (n - 1).bit_length()
+
+
 def merge_count_dominance(red: PointSet, blue: PointSet,
                           sizes: Optional[np.ndarray] = None) -> int:
     """Exact domination-pair count in O(n log^2 n) comparisons.
 
     ``sizes`` reads as in ``count_nonadaptive``: the sum over a batch of
-    cells.  Blue goes first, so the stable sort by ``(cell, x)`` puts blue
-    first on equal x: equal-x pairs (never dominating) cannot count.  The
-    gathered coordinates are freed before the kernel allocates its own.
+    cells.  A batch of ``n`` points with at most ``n * ceil(log2 n)``
+    candidate pairs (``_few_pairs``) tests each of them with
+    ``_cell_pairs``: no more work than the kernel's element-passes, so
+    O(n log^2 n) bounds both paths.  Any other batch takes one call of
+    the position-inversion kernel.  Blue goes first there, so the
+    stable sort by ``(cell, x)`` puts blue first on equal x: equal-x pairs
+    (never dominating) cannot count.  The gathered coordinates are freed
+    before the kernel allocates its own.
     """
     if sizes is None:
         sizes = np.array([[len(blue)], [len(red)]])
+    if _few_pairs(sizes):
+        return _cell_pairs((blue.x, blue.y, blue.tiebreak),
+                           (red.x, red.y, red.tiebreak), *sizes)
     x, y, t = (np.concatenate((getattr(blue, a), getattr(red, a)))
                for a in ("x", "y", "tiebreak"))
     cell = np.repeat(np.tile(np.arange(sizes.shape[1]), 2), sizes.ravel())
@@ -138,10 +198,6 @@ def _fanout(params: EmParams) -> int:
     # input and f bucket streams, 2f + 1 in all, which exceeds the budget
     # for M // B in 6-13, 16 and 17.
     return min(f, params.max_streams - 1)
-
-
-#: Pairs of leaf points one comparison pass holds.
-_LEAF_PAIRS = 2**15
 
 
 def _root_orders(red: PointSet, blue: PointSet,
@@ -187,37 +243,18 @@ def _root_orders(red: PointSet, blue: PointSet,
 
 def _leaf_pairs(xo: np.ndarray, krank: np.ndarray, nb: int,
                 sizes: np.ndarray, leaf: np.ndarray) -> int:
-    """Domination pairs inside the ``leaf`` nodes, by testing every pair.
+    """Domination pairs inside the ``leaf`` nodes, by ``_cell_pairs``.
 
-    The test is ``core.dominance_mask`` in rank space: a point's place in
-    the X order stands for its x, where a blue comes before a red of
-    equal x, and its key rank for its key.  The pair list is expanded
-    ``_LEAF_PAIRS`` at a time: O(B n) work when the smaller side of every
-    leaf has at most ``B`` points.
+    The test runs in rank space: a point's place in the X order stands for
+    its x, where a blue comes before a red of equal x, and its key rank
+    for its key, with a zero tiebreak: O(B n) work when the smaller side
+    of every leaf has at most ``B`` points.
     """
     at = np.repeat(leaf, sizes.sum(axis=1))
     is_red = xo >= nb
     bpos, rpos = np.flatnonzero(at & ~is_red), np.flatnonzero(at & is_red)
-    bkey, rkey = krank[xo[bpos]], krank[xo[rpos]]
-    # Row i pairs blue bpos[i] with the reds of its node,
-    # rpos[first[i]:first[i] + width[i]].
-    n_blue, n_red = sizes[leaf].T
-    width = np.repeat(n_red, n_blue)
-    first = np.repeat(np.cumsum(n_red) - n_red, n_blue)
-    ends = np.cumsum(width)
-    n_pairs = int(ends[-1]) if len(ends) else 0
-    total = 0
-    for p0 in range(0, n_pairs, _LEAF_PAIRS):
-        p1 = min(p0 + _LEAF_PAIRS, n_pairs)
-        i0, i1 = np.searchsorted(ends, [p0, p1 - 1], side="right")
-        rows = slice(i0, i1 + 1)
-        row_p0 = ends[rows] - width[rows]
-        n = np.minimum(ends[rows], p1) - np.maximum(row_p0, p0)
-        row = np.repeat(np.arange(i0, i1 + 1), n)
-        col = np.arange(p0, p1) - np.repeat(row_p0 - first[rows], n)
-        total += int(np.count_nonzero(dominance_mask(
-            bpos[row], bkey[row], 0, rpos[col], rkey[col], 0)))
-    return total
+    return _cell_pairs((bpos, krank[xo[bpos]], 0), (rpos, krank[xo[rpos]], 0),
+                       *sizes[leaf].T)
 
 
 def _labels(ko: np.ndarray, krank: np.ndarray, nb: int, sizes: np.ndarray,

@@ -14,7 +14,7 @@ from invcount import (EmParams, InstanceSpec, IoTally, RAM_PARAMS,
                       counting, generate, merge_count_dominance,
                       mergesort_count, ram_cap_schedule, reduce_inversions)
 from invcount.cells import STOP_SIZE, Cell, RedBlueCells
-from invcount.core import PointSet
+from invcount.core import PointSet, _unchecked
 
 PARAMS = EmParams(2048, 32)
 
@@ -152,6 +152,116 @@ class TestBatchedCells:
                    <= counting.BATCH_POINTS for b in batches if len(b) > 1)
         assert (counting._count_cells(family, merge_count_dominance)
                 == per_cell_brute(cells))
+
+
+def one_batch(cells):
+    """``red, blue, sizes`` of ``cells`` as ``_count_cells`` passes one
+    batch: each colour cell after cell, and the sizes as two rows."""
+    x, y, t, sizes = RedBlueCells(1, cells=cells).layout()
+    nb = int(sizes[0].sum())
+    return (_unchecked(x[nb:], y[nb:], t[nb:], "red"),
+            _unchecked(x[:nb], y[:nb], t[:nb], "blue"), sizes)
+
+
+@st.composite
+def cell_batches(draw):
+    """Cells on one narrow grid, with tied keys and empty sides, and at
+    times one tied cell larger than ``BATCH_POINTS``, balanced or not."""
+    cells = draw(st.lists(st.builds(Cell, colored_points("red"),
+                                    colored_points("blue")),
+                          min_size=1, max_size=6))
+    big = draw(st.sampled_from([None, None, (2100, 2000), (4094, 3), (3, 4094)]))
+    if big is not None:
+        assert sum(big) > counting.BATCH_POINTS
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        span = max(big) + 16
+        cells.insert(draw(st.integers(0, len(cells))),
+                     Cell(random_points(rng, big[0], "red", span),
+                          random_points(rng, big[1], "blue", span)))
+    return cells
+
+
+def forced(pairs):
+    """Patches that send every batch to the pair test (``pairs``) or to
+    the kernel, and make the other path raise."""
+    def refuse(*args):
+        raise AssertionError("the batch took the path that was not forced")
+
+    other = "count_position_inversions" if pairs else "_cell_pairs"
+    return (mock.patch.object(counting, "_few_pairs", lambda sizes: pairs),
+            mock.patch.object(counting, other, refuse))
+
+
+class TestPairPath:
+    """``merge_count_dominance``'s choice between testing every candidate
+    pair of a batch and the position-inversion kernel."""
+
+    @pytest.mark.parametrize("pairs", [True, False], ids=["pairs", "kernel"])
+    @settings(max_examples=60, deadline=None)
+    @given(cells=cell_batches())
+    def test_matches_per_cell_brute(self, pairs, cells):
+        red, blue, sizes = one_batch(cells)
+        rule, refuse = forced(pairs)
+        with rule, refuse:
+            assert merge_count_dominance(red, blue, sizes) == per_cell_brute(cells)
+
+    def test_sparse_batches_never_call_the_kernel(self, monkeypatch):
+        # The estimator's exact round: cells for cap n hold few pairs per
+        # point, so every batch tests its pairs.
+        red, blue = reduction(generate(
+            InstanceSpec(4000, "target_inversions", seed=3, target=2000)))
+        sizes = build_cells(red, blue, 4000, IoTally(RAM_PARAMS)).layout()[3]
+        batches = list(counting._batches(sizes))
+        assert len(batches) > 1
+        kernel, pairs = mock.Mock(wraps=counting.count_position_inversions), []
+
+        def spy(*args):
+            pairs.append(args[2:])
+            return cell_pairs(*args)
+
+        cell_pairs = counting._cell_pairs
+        monkeypatch.setattr(counting, "count_position_inversions", kernel)
+        monkeypatch.setattr(counting, "_cell_pairs", spy)
+        assert count_capped_ram(red, blue, 4000) == 2000
+        assert kernel.call_count == 0 and len(pairs) == len(batches)
+        for (n_blue, n_red), (lo, hi, *_) in zip(pairs, batches):
+            assert np.array_equal(np.stack((n_blue, n_red)), sizes[:, lo:hi])
+            n = int(sizes[:, lo:hi].sum())
+            assert int(n_blue @ n_red) <= n * (n - 1).bit_length()
+
+    def test_dense_batch_calls_the_kernel(self, monkeypatch):
+        red, blue = reduction(generate(InstanceSpec(300, "random_permutation",
+                                                    seed=4)))
+        n = len(red) + len(blue)
+        assert len(red) * len(blue) > n * (n - 1).bit_length()
+        kernel = mock.Mock(wraps=counting.count_position_inversions)
+        cell_pairs = mock.Mock(wraps=counting._cell_pairs)
+        monkeypatch.setattr(counting, "count_position_inversions", kernel)
+        monkeypatch.setattr(counting, "_cell_pairs", cell_pairs)
+        assert merge_count_dominance(red, blue) == brute_force_count(red, blue)
+        assert (kernel.call_count, cell_pairs.call_count) == (1, 0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_pair_count_at_a_chunk_edge(self, k, delta):
+        # A tied cell of 128k - 1 blues and 256 reds, then one blue that
+        # dominates each of 256 + delta reds: k * _LEAF_PAIRS + delta
+        # candidate pairs, and the last chunk holds dominating ones.
+        rng = np.random.default_rng(10 * k + delta)
+        nb = k * counting._LEAF_PAIRS // 256 - 1
+        last = 256 + delta
+        cells = [Cell(random_points(rng, 256, "red", 300),
+                      random_points(rng, nb, "blue", nb + 16)),
+                 Cell(points(range(last), [1] * last, "red"),
+                      points([last], [0], "blue"))]
+        red, blue, sizes = one_batch(cells)
+        assert int(sizes[0] @ sizes[1]) == k * counting._LEAF_PAIRS + delta
+        assert brute_force_count(cells[1].red, cells[1].blue) == last
+        expected = per_cell_brute(cells)
+        for pairs in (False, True):
+            rule, refuse = forced(pairs)
+            with rule, refuse:
+                assert merge_count_dominance(red, blue, sizes) == expected
 
 
 @pytest.fixture(scope="module")

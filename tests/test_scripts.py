@@ -24,7 +24,11 @@ def test_adaptivity_sweep():
                        "--block", "16", "--kstar", "0,512,65536", "--seeds", "2")
     # A parameter line, the column header, then one row per target.
     assert len(lines) == 5
+    assert lines[1].split() == ["kstar", "mean_io", "min_io", "max_io",
+                                "rounds", "vs_zero", "ram_s", "merge_s"]
     assert [int(row.split()[0]) for row in lines[2:]] == [0, 512, 65536]
+    # The median seconds of count_adaptive_ram and mergesort_count.
+    assert all(float(s) >= 0 for row in lines[2:] for s in row.split()[6:])
 
 
 def test_adaptivity_sweep_refuses_a_nonzero_baseline():
