@@ -145,9 +145,8 @@ def _cell_pairs(blue: tuple, red: tuple, n_blue: np.ndarray,
         n = np.minimum(ends[rows], p1) - np.maximum(row_p0, p0)
         col = np.arange(p0, p1)
         col -= np.repeat(row_p0 - first[rows], n)
-        # A row's blue repeats, so its coordinates need no index array:
-        # one array less per pass, which kept estimate-sparse peak RSS
-        # from rising.
+        # A row's blue repeats, so its coordinates are repeated rather
+        # than gathered: no index array for the rows.
         total += int(np.count_nonzero(dominance_mask(
             *(np.repeat(c[rows], n) if np.ndim(c) else c for c in blue),
             *(c[col] if np.ndim(c) else c for c in red))))

@@ -192,6 +192,16 @@ def forced(pairs):
             mock.patch.object(counting, other, refuse))
 
 
+@pytest.fixture
+def path_spies(monkeypatch):
+    """Mocks that wrap the kernel and the pair test, to count their calls."""
+    spies = []
+    for name in ("count_position_inversions", "_cell_pairs"):
+        spies.append(mock.Mock(wraps=getattr(counting, name)))
+        monkeypatch.setattr(counting, name, spies[-1])
+    return spies
+
+
 class TestPairPath:
     """``merge_count_dominance``'s choice between testing every candidate
     pair of a batch and the position-inversion kernel."""
@@ -205,7 +215,7 @@ class TestPairPath:
         with rule, refuse:
             assert merge_count_dominance(red, blue, sizes) == per_cell_brute(cells)
 
-    def test_sparse_batches_never_call_the_kernel(self, monkeypatch):
+    def test_sparse_batches_never_call_the_kernel(self, path_spies):
         # The estimator's exact round: cells for cap n hold few pairs per
         # point, so every batch tests its pairs.
         red, blue = reduction(generate(
@@ -213,31 +223,21 @@ class TestPairPath:
         sizes = build_cells(red, blue, 4000, IoTally(RAM_PARAMS)).layout()[3]
         batches = list(counting._batches(sizes))
         assert len(batches) > 1
-        kernel, pairs = mock.Mock(wraps=counting.count_position_inversions), []
-
-        def spy(*args):
-            pairs.append(args[2:])
-            return cell_pairs(*args)
-
-        cell_pairs = counting._cell_pairs
-        monkeypatch.setattr(counting, "count_position_inversions", kernel)
-        monkeypatch.setattr(counting, "_cell_pairs", spy)
+        kernel, cell_pairs = path_spies
         assert count_capped_ram(red, blue, 4000) == 2000
-        assert kernel.call_count == 0 and len(pairs) == len(batches)
-        for (n_blue, n_red), (lo, hi, *_) in zip(pairs, batches):
+        assert (kernel.call_count, cell_pairs.call_count) == (0, len(batches))
+        for call, (lo, hi, *_) in zip(cell_pairs.call_args_list, batches):
+            n_blue, n_red = call.args[2:]
             assert np.array_equal(np.stack((n_blue, n_red)), sizes[:, lo:hi])
             n = int(sizes[:, lo:hi].sum())
             assert int(n_blue @ n_red) <= n * (n - 1).bit_length()
 
-    def test_dense_batch_calls_the_kernel(self, monkeypatch):
+    def test_dense_batch_calls_the_kernel(self, path_spies):
         red, blue = reduction(generate(InstanceSpec(300, "random_permutation",
                                                     seed=4)))
         n = len(red) + len(blue)
         assert len(red) * len(blue) > n * (n - 1).bit_length()
-        kernel = mock.Mock(wraps=counting.count_position_inversions)
-        cell_pairs = mock.Mock(wraps=counting._cell_pairs)
-        monkeypatch.setattr(counting, "count_position_inversions", kernel)
-        monkeypatch.setattr(counting, "_cell_pairs", cell_pairs)
+        kernel, cell_pairs = path_spies
         assert merge_count_dominance(red, blue) == brute_force_count(red, blue)
         assert (kernel.call_count, cell_pairs.call_count) == (1, 0)
 
